@@ -1,5 +1,5 @@
-// The common resolver-client interface: every secure-DNS transport in this
-// library (UDP, DoT, DoH/h1, DoH/h2) resolves names through the same API,
+// The common resolver-client interface: every DNS transport in this library
+// (UDP, TCP, DoT, DoH/h1, DoH/h2, DoQ) resolves names through the same API,
 // which is what lets the experiments and the browser model swap transports.
 #pragma once
 

@@ -29,46 +29,20 @@ DohClient::DohClient(simnet::Host& host, simnet::Address server,
     : host_(host),
       server_(server),
       config_(std::move(config)),
-      backoff_(config_.retry),
-      metric_key_(config_.http_version == HttpVersion::kHttp2 ? "doh_h2"
-                                                              : "doh_h1") {
-  if (config_.migration.enabled && config_.migration.react_to_host_events) {
-    listener_id_ = host_.add_network_change_listener(
-        [this](simnet::NetworkChangeKind kind) {
-          begin_migration(simnet::to_string(kind));
-        });
-  }
-}
+      lifecycle_(
+          host, config_.obs,
+          config_.http_version == HttpVersion::kHttp2 ? "doh_h2" : "doh_h1",
+          config_.retry, config_.migration,
+          [this]() {
+            return persistent_stack_ && !persistent_stack_->outstanding.empty();
+          },
+          [this](const char* reason) { begin_migration(reason); }) {}
 
-DohClient::~DohClient() {
-  host_.loop().cancel(stall_timer_);
-  if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
-}
-
-void DohClient::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  const std::string prefix = "client." + metric_key_;
-  m_conn_open_ = r->register_counter(prefix + ".conn_open");
-  m_conn_reuse_ = r->register_counter(prefix + ".conn_reuse");
-  m_reconnects_ = r->register_counter(prefix + ".reconnects");
-  m_retries_ = r->register_counter(prefix + ".retries");
-  m_timeouts_ = r->register_counter(prefix + ".timeouts");
-  m_migrations_ = r->register_counter(prefix + ".migrations");
-  m_migration_wasted_ =
-      r->register_counter(prefix + ".migration_wasted_bytes");
-  m_resumed_ = r->register_counter(prefix + ".resumed_handshakes");
-  m_hpack_dyn_hits_ = r->register_counter("client.doh.hpack_dyn_hits");
-}
+DohClient::~DohClient() = default;
 
 std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
   auto stack = std::make_shared<Stack>();
-  bind_obs_ids();
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_conn_open_);
-  }
+  lifecycle_.count(&TransportMetrics::conn_open);
   if (config_.obs.tracer != nullptr) {
     stack->connect_span = config_.obs.tracer->begin(parent, "connect");
     stack->tcp_hs_span =
@@ -124,7 +98,7 @@ std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
     config_.obs.end(s->connect_span);
     s->tls_hs_span = 0;
     s->connect_span = 0;
-    account_established(s);
+    if (s->tls != nullptr) lifecycle_.account_tls(*s->tls);
     if (s == racing_stack_) {
       // Defer one (zero-delay) event: promotion tears the old stack down
       // and must not run inside this stack's own TLS callback.
@@ -160,17 +134,18 @@ void DohClient::on_stream_event(const std::shared_ptr<Stack>& stack,
       stack->awaiting_stream.pop_front();
       stack->stream_to_query.emplace(stream_id, query_id);
       QueryState& state = states_[query_id];
-      config_.obs.set_attr(state.request_span, "stream_id",
+      config_.obs.set_attr(state.retry.request_span, "stream_id",
                            static_cast<std::int64_t>(stream_id));
-      config_.obs.end(state.request_span);
+      config_.obs.end(state.retry.request_span);
       return;
     }
     case http2::StreamEvent::kResponseBegan: {
       const auto it = stack->stream_to_query.find(stream_id);
       if (it == stack->stream_to_query.end()) return;
       QueryState& state = states_[it->second];
-      if (state.done || state.span == 0) return;
-      state.response_span = config_.obs.tracer->begin(state.span, "response");
+      if (state.done || state.retry.span == 0) return;
+      state.response_span =
+          config_.obs.tracer->begin(state.retry.span, "response");
       config_.obs.set_attr(state.response_span, "stream_id",
                            static_cast<std::int64_t>(stream_id));
       return;
@@ -207,8 +182,8 @@ std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(
     } else {
       persistent_stack_ = make_stack(parent);
     }
-  } else if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_conn_reuse_);
+  } else {
+    lifecycle_.count(&TransportMetrics::conn_reuse);
   }
   return persistent_stack_;
 }
@@ -216,9 +191,9 @@ std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(
 std::uint64_t DohClient::resolve(const dns::Name& name, dns::RType type,
                                  ResolveCallback callback) {
   const std::uint64_t query_id = next_query_id_++;
-  bind_obs_ids();
   const obs::SpanId span =
-      obs_begin_resolution(config_.obs, tmetrics_, metric_key_, name, type);
+      obs_begin_resolution(config_.obs, lifecycle_.metrics(),
+                           lifecycle_.transport(), name, type);
   auto stack = stack_for_query(span);
 
   ResolutionResult result;
@@ -229,11 +204,11 @@ std::uint64_t DohClient::resolve(const dns::Name& name, dns::RType type,
   state.callback = std::move(callback);
   state.name = name;
   state.type = type;
-  state.retries_left = config_.retry.max_retries;
+  state.retry.retries_left = config_.retry.max_retries;
+  state.retry.span = span;
   state.stack = stack;
   state.start = stack->snapshot();
   state.fresh_stack = !config_.persistent;
-  state.span = span;
   states_.push_back(std::move(state));
 
   issue(stack, query_id, name, type);
@@ -280,27 +255,20 @@ void DohClient::issue(const std::shared_ptr<Stack>& stack,
   }
   results_[query_id].cost.dns_message_bytes += query_dns_bytes;
 
-  ++states_[query_id].attempt;
-  states_[query_id].rx_at_issue =
+  QueryState& qstate = states_[query_id];
+  qstate.rx_at_issue =
       stack->tcp ? stack->tcp->counters().wire_bytes_received : 0;
-  if (states_[query_id].span != 0) {
-    QueryState& qstate = states_[query_id];
-    qstate.request_span =
-        config_.obs.tracer->begin(qstate.span, "request");
-    config_.obs.set_attr(qstate.request_span, "attempt",
-                         static_cast<std::int64_t>(qstate.attempt));
-    // h2: the stream observer resolves this to a stream id once the
-    // HEADERS actually leaves (possibly after the handshake).
-    if (stack->h2) stack->awaiting_stream.push_back(query_id);
+  lifecycle_.begin_request(qstate.retry);
+  // h2: the stream observer resolves the request span to a stream id once
+  // the HEADERS actually leaves (possibly after the handshake).
+  if (qstate.retry.span != 0 && stack->h2) {
+    stack->awaiting_stream.push_back(query_id);
   }
 
   stack->outstanding.push_back(query_id);
-  arm_stall_timer();
-  if (config_.retry.query_timeout > 0) {
-    states_[query_id].timeout_timer = host_.loop().schedule_in(
-        config_.retry.query_timeout,
-        [this, query_id]() { on_query_timeout(query_id); });
-  }
+  lifecycle_.arm_stall();
+  lifecycle_.arm_timeout(qstate.retry,
+                         [this, query_id]() { on_query_timeout(query_id); });
 
   const auto handle_body = [this, query_id](int status,
                                             const std::string& content_type,
@@ -374,7 +342,8 @@ void DohClient::issue(const std::shared_ptr<Stack>& stack,
   }
 }
 
-void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack) {
+void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack,
+                               ReissueCause cause, std::uint64_t suspect) {
   if (stack->broken) return;  // double report (close after reset etc.)
   if (stack == racing_stack_) {
     // The migration racer died: the old path keeps the race. Defer the
@@ -396,67 +365,42 @@ void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack) {
   stack->tcp_hs_span = stack->tls_hs_span = stack->connect_span = 0;
 
   std::vector<std::uint64_t> victims;
-  victims.swap(stack->outstanding);
-  if (victims.empty()) return;
-
-  const bool can_retry = config_.retry.max_retries > 0;
-  // One reconnect delay per connection failure; every surviving query
-  // re-issues together on the replacement connection.
-  simnet::TimeUs delay = 0;
-  bool scheduled_any = false;
-  for (const std::uint64_t query_id : victims) {
+  std::size_t suspect_at = stack->outstanding.size();
+  for (const std::uint64_t query_id : stack->outstanding) {
     QueryState& state = states_[query_id];
     if (state.done) continue;
-    host_.loop().cancel(state.timeout_timer);
-    config_.obs.end(state.request_span);
+    if (cause == ReissueCause::kTimeoutTeardown && query_id == suspect) {
+      suspect_at = victims.size();
+    }
     config_.obs.end(state.response_span);
-    state.request_span = state.response_span = 0;
-    // A connection failure charges every query's retry budget (their
-    // attempts died with the transport); a timeout teardown charges only
-    // the suspect -- the rest were merely queued behind it.
-    const bool charge = !timeout_teardown_ || query_id == suspect_query_id_;
-    if (!can_retry || (charge && state.retries_left <= 0)) {
-      if (can_retry) ++retry_stats_.budget_exhausted;
-      complete(query_id, false, {}, 0);
-      continue;
-    }
-    if (!scheduled_any) {
-      delay = backoff_.next();
-      ++retry_stats_.reconnects;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add(m_reconnects_);
-      }
-      scheduled_any = true;
-    }
-    if (charge) --state.retries_left;
-    ++retry_stats_.retried_queries;
-    if (state.span != 0) {
-      const obs::SpanId retry =
-          config_.obs.tracer->begin(state.span, "retry");
-      config_.obs.set_attr(
-          retry, "reason",
-          std::string(timeout_teardown_ ? "timeout_teardown"
-                                        : "connection_loss"));
-      config_.obs.set_attr(retry, "attempt",
-                           static_cast<std::int64_t>(state.attempt));
-      config_.obs.end(retry);
-    }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_retries_);
-    }
-    host_.loop().schedule_in(delay,
-                             [this, query_id]() { reissue(query_id); });
+    state.response_span = 0;
+    victims.push_back(query_id);
   }
+  stack->outstanding.clear();
+  lifecycle_.reissue(
+      victims.size(), suspect_at, cause, true,
+      [&](std::size_t i) -> QueryRetry& { return states_[victims[i]].retry; },
+      [&](std::size_t i) { complete(victims[i], false, {}, 0); },
+      [&](std::size_t i, std::optional<simnet::TimeUs> delay) {
+        host_.loop().schedule_in(delay.value_or(0),
+                                 [this, query_id = victims[i]]() {
+                                   reissue(query_id);
+                                 });
+      });
 }
 
 void DohClient::on_query_timeout(std::uint64_t query_id) {
   QueryState& state = states_[query_id];
   if (state.done) return;
-  ++retry_stats_.query_timeouts;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_timeouts_);
-  }
   const auto stack = state.stack;
+  if (stack) {
+    auto& out = stack->outstanding;
+    out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
+  }
+  if (!lifecycle_.timed_out(state.retry)) {
+    complete(query_id, false, {}, 0);
+    return;
+  }
   // Zero bytes received on the connection across the whole timeout window
   // means the path, not the stream, is stalled (e.g. the 5-tuple died under
   // a silent NAT rebind) — the moral equivalent of an h2 PING timeout. An
@@ -464,62 +408,32 @@ void DohClient::on_query_timeout(std::uint64_t query_id) {
   const bool conn_dead =
       stack && !stack->broken && stack->tcp &&
       stack->tcp->counters().wire_bytes_received == state.rx_at_issue;
-  if (config_.retry.max_retries > 0 && state.retries_left > 0) {
-    if (stack && !stack->broken && (stack->h1 || conn_dead)) {
-      // HTTP/1.1 serializes responses on the connection, so a stalled
-      // exchange blocks everything queued behind it; re-issuing here would
-      // join the same blocked queue. Kill the suspect connection and let
-      // the reconnect path re-issue every query in flight on it, this one
-      // included.
-      auto& out = stack->outstanding;
-      out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
-      out.push_back(query_id);  // re-issue the suspect last: a repeat stall
-                                // then cannot block the rest of the batch
-      suspect_query_id_ = query_id;
-      timeout_teardown_ = true;
-      if (stack->tcp) stack->tcp->abort();  // no local callbacks fire
-      on_stack_error(stack);
-      suspect_query_id_ = 0;
-      timeout_teardown_ = false;
-      return;
-    }
-    // HTTP/2 multiplexes streams independently: only this exchange is
-    // stalled, so re-issue immediately — the elapsed timeout was the wait.
-    if (stack) {
-      auto& out = stack->outstanding;
-      out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
-    }
-    --state.retries_left;
-    ++retry_stats_.retried_queries;
-    config_.obs.end(state.request_span);
-    config_.obs.end(state.response_span);
-    state.request_span = state.response_span = 0;
-    if (state.span != 0) {
-      const obs::SpanId retry =
-          config_.obs.tracer->begin(state.span, "retry");
-      config_.obs.set_attr(retry, "reason", std::string("timeout"));
-      config_.obs.set_attr(retry, "attempt",
-                           static_cast<std::int64_t>(state.attempt));
-      config_.obs.end(retry);
-    }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_retries_);
-    }
-    reissue(query_id);
+  if (stack && !stack->broken && (stack->h1 || conn_dead)) {
+    // HTTP/1.1 serializes responses on the connection, so a stalled
+    // exchange blocks everything queued behind it; re-issuing here would
+    // join the same blocked queue. Kill the suspect connection and let the
+    // reconnect path re-issue every query in flight on it, this one
+    // included.
+    stack->outstanding.push_back(query_id);
+    if (stack->tcp) stack->tcp->abort();  // no local callbacks fire
+    on_stack_error(stack, ReissueCause::kTimeoutTeardown, query_id);
     return;
   }
-  if (stack) {
-    auto& out = stack->outstanding;
-    out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
-  }
-  if (config_.retry.max_retries > 0) ++retry_stats_.budget_exhausted;
-  complete(query_id, false, {}, 0);
+  // HTTP/2 multiplexes streams independently: only this exchange is
+  // stalled, so re-issue immediately — the elapsed timeout was the wait.
+  config_.obs.end(state.response_span);
+  state.response_span = 0;
+  lifecycle_.reissue(
+      1, 0, ReissueCause::kTimeout, true,
+      [&](std::size_t) -> QueryRetry& { return state.retry; },
+      [](std::size_t) {},
+      [&](std::size_t, std::optional<simnet::TimeUs>) { reissue(query_id); });
 }
 
 void DohClient::reissue(std::uint64_t query_id) {
   QueryState& state = states_[query_id];
   if (state.done) return;
-  auto stack = stack_for_query(state.span);
+  auto stack = stack_for_query(state.retry.span);
   state.stack = stack;
   state.start = stack->snapshot();
   issue(stack, query_id, state.name, state.type);
@@ -530,15 +444,14 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   QueryState& state = states_[query_id];
   if (state.done) return;  // error handler may race the response
   state.done = true;
-  host_.loop().cancel(state.timeout_timer);
-  host_.loop().cancel(stall_timer_);
-  stall_timer_ = simnet::EventId{};
+  host_.loop().cancel(state.retry.timeout_timer);
+  lifecycle_.cancel_stall();
   if (state.stack) {
     auto& out = state.stack->outstanding;
     out.erase(std::remove(out.begin(), out.end(), query_id), out.end());
   }
   if (success) {
-    backoff_.reset();
+    lifecycle_.succeeded();
     // A full response on the old path while racing: the stall was
     // transient, keep the connection and drop the racer.
     teardown_racer();
@@ -567,21 +480,21 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   }
   ++completed_;
 
-  config_.obs.end(state.request_span);
+  config_.obs.end(state.retry.request_span);
   config_.obs.end(state.response_span);
-  state.request_span = state.response_span = 0;
+  state.retry.request_span = state.response_span = 0;
   if (state.stack && state.stack->h2 && config_.obs.metrics != nullptr) {
     // HPACK dynamic-table hits are per-connection cumulative; export the
     // delta since the last completion on this stack.
     const std::uint64_t hits = state.stack->h2->encoder_stats().indexed_dynamic;
     if (hits > state.stack->hpack_reported) {
-      config_.obs.metrics->add(m_hpack_dyn_hits_,
-                               hits - state.stack->hpack_reported);
+      lifecycle_.count(&TransportMetrics::hpack_dyn_hits,
+                       hits - state.stack->hpack_reported);
       state.stack->hpack_reported = hits;
     }
   }
-  obs_finish_resolution(config_.obs, tmetrics_, state.span, metric_key_,
-                        result);
+  obs_finish_resolution(config_.obs, lifecycle_.metrics(), state.retry.span,
+                        lifecycle_.transport(), result);
 
   if (!config_.persistent && state.stack) {
     // Tear the connection down; the remaining FIN/close-notify bytes are
@@ -594,7 +507,7 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   auto callback = std::move(state.callback);
   if (callback) callback(result);
   if (persistent_stack_ && !persistent_stack_->outstanding.empty()) {
-    arm_stall_timer();
+    lifecycle_.arm_stall();
   }
 }
 
@@ -614,68 +527,18 @@ const ResolutionResult& DohClient::result(std::uint64_t id) const {
       // Attach the per-layer byte attributes the first time the finalized
       // cost is read — by construction they match this CostReport exactly.
       state.cost_observed = true;
-      obs_span_cost(config_.obs, state.span, result.cost);
+      obs_span_cost(config_.obs, state.retry.span, result.cost);
       obs_count_cost(config_.obs, cmetrics_, result.cost);
     }
   }
   return result;
 }
 
-void DohClient::account_established(const std::shared_ptr<Stack>& stack) {
-  if (stack->tls == nullptr) return;
-  const bool resumed = stack->tls->resumed();
-  if (resumed) {
-    ++migration_stats_.resumed_handshakes;
-    if (config_.obs.metrics != nullptr) config_.obs.metrics->add(m_resumed_);
-  } else {
-    ++migration_stats_.full_handshakes;
-  }
-  const auto& c = stack->tls->counters();
-  migration_stats_.handshake_bytes +=
-      c.handshake_bytes_sent + c.handshake_bytes_received;
-  migration_stats_.handshake_rtts +=
-      1 + tls_handshake_rtts(stack->tls->version(), resumed);  // +1: TCP SYN
-  if (ever_connected_ && resumed && config_.obs.tracer != nullptr) {
-    // A reconnect that skipped the full handshake via the session ticket.
-    const obs::SpanId s = config_.obs.tracer->begin(0, "reconnect_resume");
-    config_.obs.set_attr(s, "transport", metric_key_);
-    config_.obs.end(s);
-  }
-  ever_connected_ = true;
-}
-
-void DohClient::arm_stall_timer() {
-  if (!config_.migration.enabled || config_.migration.stall_timeout <= 0) {
-    return;
-  }
-  if (stall_timer_.valid) return;
-  stall_timer_ = host_.loop().schedule_in(
-      config_.migration.stall_timeout, [this]() {
-        stall_timer_ = simnet::EventId{};
-        on_stall();
-      });
-}
-
-void DohClient::on_stall() {
-  if (!persistent_stack_ || persistent_stack_->outstanding.empty()) return;
-  if (config_.obs.tracer != nullptr) {
-    // The probe that condemned the old path before we migrate away from it.
-    const obs::SpanId s = config_.obs.tracer->begin(0, "path_probe");
-    config_.obs.set_attr(s, "transport", metric_key_);
-    config_.obs.end(s);
-  }
-  begin_migration("stall");
-}
-
 void DohClient::begin_migration(const char* reason) {
   if (!config_.migration.enabled || !config_.persistent) return;
   if (racing_stack_) return;  // a race is already deciding the new path
   if (!persistent_stack_) return;  // nothing to migrate; next query reconnects
-  if (config_.obs.tracer != nullptr && migrate_span_ == 0) {
-    migrate_span_ = config_.obs.tracer->begin(0, "migrate");
-    config_.obs.set_attr(migrate_span_, "transport", metric_key_);
-    config_.obs.set_attr(migrate_span_, "reason", std::string(reason));
-  }
+  lifecycle_.begin_migrate(reason);
   const bool usable = !persistent_stack_->broken &&
                       !persistent_stack_->tls->failed() &&
                       !persistent_stack_->tls->closed() &&
@@ -687,15 +550,8 @@ void DohClient::begin_migration(const char* reason) {
     // attempt reconnects on the new path, resuming via the session cache
     // when one is configured.
     auto old = persistent_stack_;
-    ++migration_stats_.migrations;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_migrations_);
-    }
-    if (migrate_span_ != 0) {
-      config_.obs.set_attr(migrate_span_, "winner", std::string("fresh"));
-      config_.obs.end(migrate_span_);
-      migrate_span_ = 0;
-    }
+    lifecycle_.record_migration();
+    lifecycle_.end_migrate("fresh");
     if (old->tcp) old->tcp->abort();  // no local callbacks fire
     on_stack_error(old);  // clears persistent_stack_, re-issues in flight
     return;
@@ -706,7 +562,7 @@ void DohClient::begin_migration(const char* reason) {
   // bytes are charged to migration_wasted_bytes.
   const auto& tc = persistent_stack_->tcp->counters();
   race_baseline_bytes_ = tc.wire_bytes_sent + tc.wire_bytes_received;
-  racing_stack_ = make_stack(migrate_span_);
+  racing_stack_ = make_stack(lifecycle_.migrate_span());
 }
 
 void DohClient::promote_racer() {
@@ -723,18 +579,10 @@ void DohClient::promote_racer() {
     const auto& c = old->tcp->counters();
     wasted = c.wire_bytes_sent + c.wire_bytes_received - race_baseline_bytes_;
   }
-  migration_stats_.migration_wasted_bytes += wasted;
-  ++migration_stats_.migrations;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_migrations_);
-    config_.obs.metrics->add(m_migration_wasted_, wasted);
-  }
+  lifecycle_.record_wasted(wasted);
+  lifecycle_.record_migration();
   persistent_stack_ = std::move(racing_stack_);
-  if (migrate_span_ != 0) {
-    config_.obs.set_attr(migrate_span_, "winner", std::string("fresh"));
-    config_.obs.end(migrate_span_);
-    migrate_span_ = 0;
-  }
+  lifecycle_.end_migrate("fresh");
   if (old) {
     // Abort the stalled transport and let the group-retry path re-issue its
     // in-flight queries — stack_for_query now hands out the promoted stack.
@@ -753,20 +601,13 @@ void DohClient::teardown_racer() {
     const auto& c = racer->tcp->counters();
     wasted = c.wire_bytes_sent + c.wire_bytes_received;
   }
-  migration_stats_.migration_wasted_bytes += wasted;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_migration_wasted_, wasted);
-  }
+  lifecycle_.record_wasted(wasted);
   // Dangling connect spans of the abandoned racer must not stay open.
   config_.obs.end(racer->tcp_hs_span);
   config_.obs.end(racer->tls_hs_span);
   config_.obs.end(racer->connect_span);
   racer->tcp_hs_span = racer->tls_hs_span = racer->connect_span = 0;
-  if (migrate_span_ != 0) {
-    config_.obs.set_attr(migrate_span_, "winner", std::string("old"));
-    config_.obs.end(migrate_span_);
-    migrate_span_ = 0;
-  }
+  lifecycle_.end_migrate("old");
 }
 
 void DohClient::disconnect() {

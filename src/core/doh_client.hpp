@@ -32,9 +32,7 @@
 #include <vector>
 
 #include "core/client.hpp"
-#include "core/migration.hpp"
-#include "core/obs_hooks.hpp"
-#include "core/retry.hpp"
+#include "core/lifecycle.hpp"
 #include "http1/client.hpp"
 #include "http2/connection.hpp"
 #include "obs/span.hpp"
@@ -85,9 +83,11 @@ class DohClient final : public ResolverClient {
   const ResolutionResult& result(std::uint64_t id) const override;
   std::size_t completed() const override { return completed_; }
   std::uint64_t failures() const noexcept { return failures_; }
-  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
+  const RetryStats& retry_stats() const noexcept {
+    return lifecycle_.retry_stats();
+  }
   const MigrationStats& migration_stats() const noexcept {
-    return migration_stats_;
+    return lifecycle_.migration_stats();
   }
 
   /// Close the persistent connection (if any).
@@ -134,17 +134,14 @@ class DohClient final : public ResolverClient {
   void complete(std::uint64_t query_id, bool success, dns::Message response,
                 std::size_t dns_bytes);
   /// Transport-level failure (close/reset/GOAWAY/protocol error): retry or
-  /// fail every query that was in flight on `stack`.
-  void on_stack_error(const std::shared_ptr<Stack>& stack);
+  /// fail every query that was in flight on `stack`. On a timeout teardown
+  /// `suspect` is the query whose timeout condemned the connection.
+  void on_stack_error(const std::shared_ptr<Stack>& stack,
+                      ReissueCause cause = ReissueCause::kConnectionLoss,
+                      std::uint64_t suspect = 0);
   void on_query_timeout(std::uint64_t query_id);
   /// Re-issue a query on a (possibly fresh) connection.
   void reissue(std::uint64_t query_id);
-  /// Re-register the client.<key>.* handles when the registry changes.
-  void bind_obs_ids();
-  /// Handshake/resumption accounting when a stack establishes (always on).
-  void account_established(const std::shared_ptr<Stack>& stack);
-  void arm_stall_timer();
-  void on_stall();
   void begin_migration(const char* reason);
   void promote_racer();
   void teardown_racer();
@@ -152,35 +149,13 @@ class DohClient final : public ResolverClient {
   simnet::Host& host_;
   simnet::Address server_;
   DohClientConfig config_;
-  Backoff backoff_;
-  RetryStats retry_stats_;
-  std::string metric_key_;  ///< "doh_h2" or "doh_h1"
-  mutable TransportMetrics tmetrics_;  ///< mutable: result() is const
-  mutable CostMetrics cmetrics_;
-  obs::MetricId m_conn_open_;
-  obs::MetricId m_conn_reuse_;
-  obs::MetricId m_reconnects_;
-  obs::MetricId m_retries_;
-  obs::MetricId m_timeouts_;
-  obs::MetricId m_hpack_dyn_hits_;
-  obs::MetricId m_migrations_;
-  obs::MetricId m_migration_wasted_;
-  obs::MetricId m_resumed_;
-  obs::Registry* bound_metrics_ = nullptr;
-  MigrationStats migration_stats_;
+  ConnectionLifecycle lifecycle_;  ///< transport key "doh_h2" or "doh_h1"
+  mutable CostMetrics cmetrics_;  ///< mutable: result() is const
 
-  /// Query whose timeout triggered the current connection teardown: the
-  /// group-retry charges only its budget and re-issues it last.
-  std::uint64_t suspect_query_id_ = 0;
-  bool timeout_teardown_ = false;
   std::shared_ptr<Stack> persistent_stack_;
   /// Migration race: a fresh stack racing the stalled persistent one.
   std::shared_ptr<Stack> racing_stack_;
   std::uint64_t race_baseline_bytes_ = 0;
-  simnet::EventId stall_timer_;
-  std::uint64_t listener_id_ = 0;
-  bool ever_connected_ = false;
-  obs::SpanId migrate_span_ = 0;
   std::uint64_t next_query_id_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failures_ = 0;
@@ -189,7 +164,7 @@ class DohClient final : public ResolverClient {
     ResolveCallback callback;
     dns::Name name;                ///< kept for re-issue
     dns::RType type = dns::RType::kA;
-    int retries_left = 0;
+    QueryRetry retry;
     std::shared_ptr<Stack> stack;  ///< stack this query ran on
     CostReport start;              ///< stack snapshot at issue time
     CostReport end;                ///< snapshot at completion (persistent)
@@ -197,14 +172,10 @@ class DohClient final : public ResolverClient {
     /// has not advanced by the query timeout, the connection (not just the
     /// stream) is stalled.
     std::uint64_t rx_at_issue = 0;
-    simnet::EventId timeout_timer;
     bool have_end = false;
     bool fresh_stack = false;      ///< cost = whole stack incl. teardown
     bool done = false;
-    obs::SpanId span = 0;           ///< the resolution span
-    obs::SpanId request_span = 0;   ///< current attempt
     obs::SpanId response_span = 0;  ///< h2: kResponseBegan..kStreamClosed
-    int attempt = 0;
     /// Span byte attrs / bytes.* counters recorded (result() is const and
     /// may be called repeatedly; the first finalized read wins).
     mutable bool cost_observed = false;

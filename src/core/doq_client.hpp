@@ -17,9 +17,7 @@
 #include <vector>
 
 #include "core/client.hpp"
-#include "core/migration.hpp"
-#include "core/obs_hooks.hpp"
-#include "core/retry.hpp"
+#include "core/lifecycle.hpp"
 #include "obs/span.hpp"
 #include "quicsim/endpoint.hpp"
 
@@ -45,9 +43,11 @@ class DoqClient final : public ResolverClient {
                         ResolveCallback callback) override;
   const ResolutionResult& result(std::uint64_t id) const override;
   std::size_t completed() const override { return completed_; }
-  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
+  const RetryStats& retry_stats() const noexcept {
+    return lifecycle_.retry_stats();
+  }
   const MigrationStats& migration_stats() const noexcept {
-    return migration_stats_;
+    return lifecycle_.migration_stats();
   }
 
   void disconnect();
@@ -61,59 +61,32 @@ class DoqClient final : public ResolverClient {
     dns::Bytes rx;
     dns::Name name;  ///< kept for re-issue
     dns::RType type = dns::RType::kA;
-    int retries_left = 0;
-    simnet::EventId timeout_timer;
-    obs::SpanId span = 0;
-    obs::SpanId request_span = 0;
-    int attempt = 0;
+    QueryRetry retry;
   };
 
   void ensure_connection(obs::SpanId parent);
-  /// Re-register the client.doq.* handles when the registry changes.
-  void bind_obs_ids();
   void issue(PendingQuery pq);
   void on_stream_data(std::uint64_t stream_id,
                       std::span<const std::uint8_t> data, bool fin);
   void on_closed();
   void on_query_timeout(std::uint64_t stream_id);
   /// Fail or (budget permitting) re-issue every query in flight after the
-  /// connection died or was condemned by a query timeout.
-  void group_reissue();
+  /// connection died or, on a timeout teardown, was condemned by the query
+  /// timeout on stream `suspect`.
+  void group_reissue(ReissueCause cause, std::uint64_t suspect = 0);
   void fail_query(PendingQuery pq);
-  void account_established();
-  void arm_stall_timer();
-  void on_stall();
   /// QUIC migration: validate the current path with a PATH_CHALLENGE. The
   /// connection — handshake included — survives the address change.
   void begin_migration(const char* reason);
 
   simnet::Host& host_;
-  TransportMetrics tmetrics_;
-  CostMetrics cmetrics_;
-  obs::MetricId m_conn_open_;
-  obs::MetricId m_conn_reuse_;
-  obs::MetricId m_reconnects_;
-  obs::MetricId m_retries_;
-  obs::MetricId m_timeouts_;
-  obs::MetricId m_migrations_;
-  obs::MetricId m_migration_wasted_;
-  obs::MetricId m_resumed_;
-  obs::Registry* bound_metrics_ = nullptr;
   simnet::Address server_;
   DoqClientConfig config_;
-  Backoff backoff_;
-  RetryStats retry_stats_;
-  MigrationStats migration_stats_;
+  ConnectionLifecycle lifecycle_;
+  CostMetrics cmetrics_;
   std::unique_ptr<quicsim::QuicClientEndpoint> endpoint_;
   obs::SpanId connect_span_ = 0;
   obs::SpanId quic_hs_span_ = 0;
-  obs::SpanId migrate_span_ = 0;
-  simnet::EventId stall_timer_;
-  std::uint64_t listener_id_ = 0;
-  /// Stream whose query timeout condemned the connection (re-issued last,
-  /// sole budget charge of the teardown).
-  std::uint64_t suspect_stream_id_ = 0;
-  bool timeout_teardown_ = false;
   bool closing_ = false;  ///< disconnect() in progress: do not retry
 
   std::map<std::uint64_t, PendingQuery> pending_;  ///< keyed by stream id

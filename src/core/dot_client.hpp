@@ -1,146 +1,20 @@
 // DNS-over-TLS client (RFC 7858): TLS to port 853, two-byte length framing,
-// multiple outstanding queries matched by DNS message ID.
-//
-// With a RetryPolicy (config.retry.max_retries > 0) the client reconnects
-// after transport loss with exponential backoff and re-issues the queries
-// that were in flight, each under its own retry budget; a per-query timeout
-// optionally covers servers that accept but never answer.
+// multiple outstanding queries matched by DNS message ID. It is the stream
+// client of DNS over TCP with TLS switched on; see stream_dns_client.hpp
+// for its retry and migration behaviour.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <vector>
-
-#include "core/client.hpp"
-#include "core/migration.hpp"
-#include "core/retry.hpp"
-#include "core/obs_hooks.hpp"
-#include "obs/span.hpp"
-#include "simnet/host.hpp"
-#include "simnet/stream.hpp"
-#include "tlssim/connection.hpp"
+#include "core/stream_dns_client.hpp"
 
 namespace dohperf::core {
 
-struct DotClientConfig {
-  std::string server_name = "dot.example";  ///< SNI
-  tlssim::TlsVersion min_tls = tlssim::TlsVersion::kTls12;
-  tlssim::TlsVersion max_tls = tlssim::TlsVersion::kTls13;
-  tlssim::SessionCache* session_cache = nullptr;
-  /// Reconnection + per-query retry behaviour; default is fail-fast.
-  RetryPolicy retry;
-  /// Network-churn handling (stall detection, connection racing).
-  MigrationConfig migration;
-  obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
-};
-
-class DotClient final : public ResolverClient {
+class DotClient final : public StreamDnsClient {
  public:
   DotClient(simnet::Host& host, simnet::Address server,
-            DotClientConfig config = {});
-  ~DotClient() override;
+            DotClientConfig config = {})
+      : StreamDnsClient(host, server, std::move(config), /*tls=*/true) {}
 
-  std::uint64_t resolve(const dns::Name& name, dns::RType type,
-                        ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
-  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
-  const MigrationStats& migration_stats() const noexcept {
-    return migration_stats_;
-  }
-
-  /// Close the TLS connection (a new one is opened on the next resolve).
-  /// Outstanding queries fail without retry — the close was deliberate.
-  void disconnect();
-  bool connected() const;
-
-  /// Connection-level counters of the current connection (null when none).
-  const tlssim::TlsCounters* tls_counters() const;
-  const simnet::TcpCounters* tcp_counters() const;
-
- private:
-  /// Everything needed to answer — or re-issue — one query.
-  struct Pending {
-    std::uint64_t query_id = 0;
-    ResolveCallback callback;
-    dns::Name name;
-    dns::RType type = dns::RType::kA;
-    int retries_left = 0;
-    simnet::EventId timeout_timer;
-    obs::SpanId span = 0;          ///< the resolution span
-    obs::SpanId request_span = 0;  ///< current attempt
-    int attempt = 0;
-  };
-
-  void ensure_connection(obs::SpanId parent);
-  /// Re-register the client.dot.* handles when the registry changes.
-  void bind_obs_ids();
-  void send_query(std::uint16_t dns_id, Pending pending);
-  void on_data(std::span<const std::uint8_t> data);
-  void on_close();
-  void on_query_timeout(std::uint16_t dns_id);
-  void fail_query(Pending pending);
-  std::uint16_t allocate_dns_id();
-  void install_handlers();
-  /// Handshake/resumption accounting at establishment (always on, unlike
-  /// the tracer-gated spans).
-  void account_established();
-  void arm_stall_timer();
-  void on_stall();
-  void begin_migration(const char* reason);
-  void promote_racer();
-  void teardown_racer();
-  void reissue_after_migration();
-
-  simnet::Host& host_;
-  TransportMetrics tmetrics_;
-  CostMetrics cmetrics_;
-  obs::MetricId m_conn_open_;
-  obs::MetricId m_conn_reuse_;
-  obs::MetricId m_reconnects_;
-  obs::MetricId m_retries_;
-  obs::MetricId m_timeouts_;
-  obs::MetricId m_migrations_;
-  obs::MetricId m_migration_wasted_;
-  obs::MetricId m_resumed_;
-  obs::Registry* bound_metrics_ = nullptr;
-  simnet::Address server_;
-  DotClientConfig config_;
-  Backoff backoff_;
-  RetryStats retry_stats_;
-  MigrationStats migration_stats_;
-
-  std::shared_ptr<simnet::TcpConnection> tcp_;
-  std::unique_ptr<tlssim::TlsConnection> tls_;
-  dns::Bytes rx_;
-
-  // Migration machinery: the fresh connection racing the stalled one, the
-  // stalled side's byte counts at race start (everything it moves after
-  // that is wasted if it loses), and churn-detection state.
-  std::shared_ptr<simnet::TcpConnection> racing_tcp_;
-  std::unique_ptr<tlssim::TlsConnection> racing_tls_;
-  std::uint64_t race_baseline_bytes_ = 0;
-  simnet::EventId stall_timer_;
-  std::uint64_t listener_id_ = 0;
-  bool ever_connected_ = false;
-  obs::SpanId migrate_span_ = 0;
-  obs::SpanId connect_span_ = 0;
-  obs::SpanId tcp_hs_span_ = 0;
-  obs::SpanId tls_hs_span_ = 0;
-  bool closing_ = false;  ///< disconnect() in progress: do not retry
-  /// DNS ID of a query whose timeout triggered the current connection
-  /// teardown. The reconnect path re-issues it after everything else so a
-  /// repeat stall cannot head-of-line-block the rest of the batch again,
-  /// and charges only its retry budget: the other in-flight queries did
-  /// not fail, the client preempted them.
-  std::uint16_t suspect_dns_id_ = 0;
-  bool timeout_teardown_ = false;
-
-  std::uint16_t next_dns_id_ = 1;
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
-  std::map<std::uint16_t, Pending> pending_;
-  std::vector<ResolutionResult> results_;
+  using StreamDnsClient::tls_counters;
 };
 
 }  // namespace dohperf::core

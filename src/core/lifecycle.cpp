@@ -1,0 +1,140 @@
+#include "core/lifecycle.hpp"
+
+namespace dohperf::core {
+
+ConnectionLifecycle::ConnectionLifecycle(
+    simnet::Host& host, const obs::SpanContext& obs, std::string transport,
+    const RetryPolicy& retry, const MigrationConfig& migration,
+    std::function<bool()> busy, std::function<void(const char*)> migrate)
+    : host_(host),
+      obs_(obs),
+      transport_(std::move(transport)),
+      retry_(retry),
+      migration_(migration),
+      busy_(std::move(busy)),
+      migrate_(std::move(migrate)),
+      backoff_(retry) {
+  if (migration_.enabled && migration_.react_to_host_events) {
+    listener_id_ = host_.add_network_change_listener(
+        [this](simnet::NetworkChangeKind kind) {
+          migrate_(simnet::to_string(kind));
+        });
+  }
+}
+
+ConnectionLifecycle::~ConnectionLifecycle() {
+  host_.loop().cancel(stall_timer_);
+  if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
+}
+
+void ConnectionLifecycle::begin_request(
+    QueryRetry& q, std::optional<std::int64_t> stream_id) {
+  ++q.attempt;
+  if (q.span == 0) return;
+  q.request_span = obs_.tracer->begin(q.span, "request");
+  if (stream_id) obs_.set_attr(q.request_span, "stream_id", *stream_id);
+  obs_.set_attr(q.request_span, "attempt",
+                static_cast<std::int64_t>(q.attempt));
+}
+
+bool ConnectionLifecycle::timed_out(const QueryRetry& q) {
+  ++retry_stats_.query_timeouts;
+  count(&TransportMetrics::timeouts);
+  if (retry_.max_retries <= 0) return false;
+  if (q.retries_left > 0) return true;
+  ++retry_stats_.budget_exhausted;
+  return false;
+}
+
+const char* ConnectionLifecycle::reason(ReissueCause cause) noexcept {
+  switch (cause) {
+    case ReissueCause::kConnectionLoss:
+      return "connection_loss";
+    case ReissueCause::kTimeoutTeardown:
+      return "timeout_teardown";
+    case ReissueCause::kMigration:
+      return "migration";
+    case ReissueCause::kTimeout:
+      return "timeout";
+  }
+  return "";
+}
+
+void ConnectionLifecycle::arm_stall() {
+  if (!migration_.enabled || migration_.stall_timeout <= 0) return;
+  if (stall_timer_.valid) return;
+  stall_timer_ =
+      host_.loop().schedule_in(migration_.stall_timeout, [this]() {
+        stall_timer_ = simnet::EventId{};
+        on_stall();
+      });
+}
+
+void ConnectionLifecycle::cancel_stall() {
+  host_.loop().cancel(stall_timer_);
+  stall_timer_ = simnet::EventId{};
+}
+
+void ConnectionLifecycle::on_stall() {
+  if (!busy_()) return;
+  if (obs_.tracer != nullptr) {
+    // The probe that condemned the old path before we migrate away from it.
+    const obs::SpanId s = obs_.tracer->begin(0, "path_probe");
+    obs_.set_attr(s, "transport", transport_);
+    obs_.end(s);
+  }
+  migrate_("stall");
+}
+
+void ConnectionLifecycle::account_tls(const tlssim::TlsConnection& tls) {
+  const auto& c = tls.counters();
+  account_handshake(
+      tls.resumed(), c.handshake_bytes_sent + c.handshake_bytes_received,
+      1 + tls_handshake_rtts(tls.version(), tls.resumed()));  // +1: TCP SYN
+}
+
+void ConnectionLifecycle::account_handshake(bool resumed,
+                                            std::uint64_t bytes,
+                                            std::uint64_t rtts) {
+  if (resumed) {
+    ++migration_stats_.resumed_handshakes;
+    count(&TransportMetrics::resumed_handshakes);
+  } else {
+    ++migration_stats_.full_handshakes;
+  }
+  migration_stats_.handshake_bytes += bytes;
+  migration_stats_.handshake_rtts += rtts;
+  if (ever_connected_ && resumed && obs_.tracer != nullptr) {
+    // A reconnect that skipped the full handshake via the session ticket.
+    const obs::SpanId s = obs_.tracer->begin(0, "reconnect_resume");
+    obs_.set_attr(s, "transport", transport_);
+    obs_.end(s);
+  }
+  ever_connected_ = true;
+}
+
+void ConnectionLifecycle::begin_migrate(const char* reason) {
+  if (obs_.tracer == nullptr || migrate_span_ != 0) return;
+  migrate_span_ = obs_.tracer->begin(0, "migrate");
+  obs_.set_attr(migrate_span_, "transport", transport_);
+  obs_.set_attr(migrate_span_, "reason", std::string(reason));
+}
+
+void ConnectionLifecycle::end_migrate(const char* winner) {
+  if (migrate_span_ == 0) return;
+  obs_.set_attr(migrate_span_, "winner", std::string(winner));
+  obs_.end(migrate_span_);
+  migrate_span_ = 0;
+}
+
+void ConnectionLifecycle::record_migration() {
+  ++migration_stats_.migrations;
+  count(&TransportMetrics::migrations);
+}
+
+void ConnectionLifecycle::record_wasted(std::uint64_t bytes) {
+  migration_stats_.migration_wasted_bytes += bytes;
+  count(&TransportMetrics::migration_wasted_bytes, bytes);
+}
+
+}  // namespace dohperf::core

@@ -1,0 +1,190 @@
+// The connection lifecycle shared by the connection-oriented resolver
+// clients: the stream client behind DNS over TCP and DoT, DoH and DoQ.
+// It owns the client.<t>.* counters, the retry and migration ledgers, the
+// stall detector and the reconnect-and-reissue policy. Each client keeps
+// its own connections, framing and migration race.
+#pragma once
+
+#include <cstdint>
+#include <functional>
+#include <optional>
+#include <string>
+
+#include "core/migration.hpp"
+#include "core/obs_hooks.hpp"
+#include "core/retry.hpp"
+#include "simnet/host.hpp"
+#include "tlssim/connection.hpp"
+
+namespace dohperf::core {
+
+/// Retry and tracing state of one query, embedded in each client's record
+/// of a query in flight.
+struct QueryRetry {
+  int retries_left = 0;
+  int attempt = 0;  ///< attempts issued so far
+  simnet::EventId timeout_timer;
+  obs::SpanId span = 0;          ///< the resolution span
+  obs::SpanId request_span = 0;  ///< the current attempt
+};
+
+/// Why in-flight queries are re-issued.
+enum class ReissueCause {
+  /// The connection died: every query is charged, after one backoff.
+  kConnectionLoss,
+  /// A query timeout condemned the connection: only that query (the
+  /// suspect) is charged, and it goes last so a repeat stall cannot block
+  /// the rest of the batch again.
+  kTimeoutTeardown,
+  /// Moved to a validated new path: charged, re-sent at once.
+  kMigration,
+  /// One multiplexed stream timed out: charged, re-sent at once.
+  kTimeout,
+};
+
+class ConnectionLifecycle {
+ public:
+  /// `obs`, `retry` and `migration` belong to the owning client's config
+  /// and must outlive this object. `busy` tells whether queries are in
+  /// flight; `migrate` starts a migration (stall or host network change).
+  ConnectionLifecycle(simnet::Host& host, const obs::SpanContext& obs,
+                      std::string transport, const RetryPolicy& retry,
+                      const MigrationConfig& migration,
+                      std::function<bool()> busy,
+                      std::function<void(const char*)> migrate);
+  ~ConnectionLifecycle();
+
+  ConnectionLifecycle(const ConnectionLifecycle&) = delete;
+  ConnectionLifecycle& operator=(const ConnectionLifecycle&) = delete;
+
+  const std::string& transport() const noexcept { return transport_; }
+  TransportMetrics& metrics() noexcept { return metrics_; }
+  void count(obs::MetricId TransportMetrics::*counter,
+             std::uint64_t delta = 1) {
+    obs_count(obs_, metrics_, transport_, counter, delta);
+  }
+  const RetryStats& retry_stats() const noexcept { return retry_stats_; }
+  const MigrationStats& migration_stats() const noexcept {
+    return migration_stats_;
+  }
+
+  // ---- Attempts ----------------------------------------------------------
+
+  /// Open the next attempt's `request` span (attempt=, and stream_id= when
+  /// given).
+  void begin_request(QueryRetry& q,
+                     std::optional<std::int64_t> stream_id = std::nullopt);
+  /// Arm the per-query deadline when the policy sets one.
+  template <typename F>
+  void arm_timeout(QueryRetry& q, F&& on_timeout) {
+    if (retry_.query_timeout <= 0) return;
+    q.timeout_timer = host_.loop().schedule_in(retry_.query_timeout,
+                                               std::forward<F>(on_timeout));
+  }
+  /// Count an expired deadline. True when the query may be re-issued;
+  /// false when it must fail (out of budget).
+  bool timed_out(const QueryRetry& q);
+  /// A successful exchange: the next connection loss backs off from the
+  /// initial delay again.
+  void succeeded() noexcept { backoff_.reset(); }
+
+  /// The reconnect-and-reissue policy. The `n` victims are addressed by
+  /// index in issue order; `suspect` (or n and above for none) is the query
+  /// whose timeout condemned the connection. Each victim either fails
+  /// through fail(i) or, budget permitting, gets a `retry` span and counter
+  /// and goes to resend(i, delay). One backoff delay is drawn per
+  /// connection loss and shared by its re-issues; a migration or stream
+  /// timeout passes nullopt (re-send at once).
+  template <typename RetryOf, typename Fail, typename Resend>
+  void reissue(std::size_t n, std::size_t suspect, ReissueCause cause,
+               bool can_retry, RetryOf&& retry_of, Fail&& fail,
+               Resend&& resend);
+
+  // ---- Stall detection ---------------------------------------------------
+
+  /// Start the stall timer unless it runs already (or stalls are off).
+  void arm_stall();
+  /// Bytes arrived or the connection is gone: stop the stall timer.
+  void cancel_stall();
+
+  // ---- Handshakes and migrations -----------------------------------------
+
+  /// Handshake and resumption accounting when a TLS connection comes up.
+  void account_tls(const tlssim::TlsConnection& tls);
+  void account_handshake(bool resumed, std::uint64_t bytes,
+                         std::uint64_t rtts);
+  /// Open the `migrate` span unless one is open already.
+  void begin_migrate(const char* reason);
+  /// Close the `migrate` span (if open) naming the path that won.
+  void end_migrate(const char* winner);
+  obs::SpanId migrate_span() const noexcept { return migrate_span_; }
+  void record_migration();
+  void record_wasted(std::uint64_t bytes);
+
+ private:
+  void on_stall();
+  static const char* reason(ReissueCause cause) noexcept;
+
+  simnet::Host& host_;
+  const obs::SpanContext& obs_;
+  std::string transport_;
+  const RetryPolicy& retry_;
+  const MigrationConfig& migration_;
+  std::function<bool()> busy_;
+  std::function<void(const char*)> migrate_;
+  TransportMetrics metrics_;
+  Backoff backoff_;
+  RetryStats retry_stats_;
+  MigrationStats migration_stats_;
+  simnet::EventId stall_timer_;
+  std::uint64_t listener_id_ = 0;
+  bool ever_connected_ = false;
+  obs::SpanId migrate_span_ = 0;
+};
+
+template <typename RetryOf, typename Fail, typename Resend>
+void ConnectionLifecycle::reissue(std::size_t n, std::size_t suspect,
+                                  ReissueCause cause, bool can_retry,
+                                  RetryOf&& retry_of, Fail&& fail,
+                                  Resend&& resend) {
+  can_retry = can_retry && retry_.max_retries > 0;
+  const bool backs_off = cause == ReissueCause::kConnectionLoss ||
+                         cause == ReissueCause::kTimeoutTeardown;
+  std::optional<simnet::TimeUs> delay;
+  const auto one = [&](std::size_t i) {
+    QueryRetry& q = retry_of(i);
+    host_.loop().cancel(q.timeout_timer);
+    obs_.end(q.request_span);
+    q.request_span = 0;
+    // A timeout teardown charges only the suspect: the rest were merely
+    // queued behind it and are re-issued for free.
+    const bool charge = cause != ReissueCause::kTimeoutTeardown ||
+                        i == suspect;
+    if (!can_retry || (charge && q.retries_left <= 0)) {
+      if (can_retry) ++retry_stats_.budget_exhausted;
+      fail(i);
+      return;
+    }
+    if (backs_off && !delay) {
+      delay = backoff_.next();
+      ++retry_stats_.reconnects;
+      count(&TransportMetrics::reconnects);
+    }
+    if (charge) --q.retries_left;
+    ++retry_stats_.retried_queries;
+    if (q.span != 0) {
+      const obs::SpanId span = obs_.tracer->begin(q.span, "retry");
+      obs_.set_attr(span, "reason", std::string(reason(cause)));
+      obs_.set_attr(span, "attempt", static_cast<std::int64_t>(q.attempt));
+      obs_.end(span);
+    }
+    count(&TransportMetrics::retries);
+    resend(i, delay);
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != suspect) one(i);
+  }
+  if (suspect < n) one(suspect);
+}
+
+}  // namespace dohperf::core

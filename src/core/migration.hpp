@@ -1,11 +1,14 @@
-// Connection migration for the stateful DNS transports.
+// Connection migration for the encrypted stateful DNS transports: DoT and
+// DoH race a fresh connection, DoQ migrates its QUIC connection in place.
+// Plain DNS over TCP is fail-fast and takes no MigrationConfig.
 //
 // The paper's cost finding is that DoH/DoT amortize their connection-setup
 // tax over a long-lived connection — which network churn (NAT rebind,
 // Wi-Fi -> LTE handover, interface flap) cuts short. This header holds the
 // shared policy knobs and accounting for the clients' migration machinery:
 //   * detection — OS-visible change notifications (Host listeners) plus a
-//     stall timer for the silent NAT rebinds the OS never reports;
+//     stall timer for the silent NAT rebinds the OS never reports (both in
+//     ConnectionLifecycle, core/lifecycle.hpp);
 //   * recovery  — happy-eyeballs racing of a fresh connection against the
 //     stalled one (loser's bytes charged to migration_wasted_bytes), with
 //     the TLS session cache making the re-handshake a 1-RTT resumption;

@@ -14,10 +14,10 @@
 
 namespace dohperf::core {
 
-/// Pre-registered handles for one transport's client.* metric family.
-/// Clients keep one of these per instance; bind() is idempotent and
-/// re-binds automatically when the registry changes (set_obs rebinding),
-/// so the per-query path is pure dense-slot writes.
+/// Pre-registered handles for one transport's client.<t>.* metric family.
+/// Clients keep one of these per instance; ensure() re-binds when the
+/// registry changes (set_obs rebinding), so the per-query path is pure
+/// dense-slot writes.
 struct TransportMetrics {
   obs::Registry* registry = nullptr;
   obs::MetricId queries;
@@ -25,6 +25,16 @@ struct TransportMetrics {
   obs::MetricId failures;
   obs::MetricId servfail;
   obs::MetricId resolution_ms;
+  // Connection lifecycle (ConnectionLifecycle; UDP uses retries/timeouts).
+  obs::MetricId conn_open;
+  obs::MetricId conn_reuse;
+  obs::MetricId reconnects;
+  obs::MetricId retries;
+  obs::MetricId timeouts;
+  obs::MetricId migrations;
+  obs::MetricId migration_wasted_bytes;
+  obs::MetricId resumed_handshakes;
+  obs::MetricId hpack_dyn_hits;  ///< DoH only, shared by h1 and h2
 
   void bind(obs::Registry* r, const std::string& transport) {
     registry = r;
@@ -35,8 +45,32 @@ struct TransportMetrics {
     failures = r->register_counter(prefix + ".failures");
     servfail = r->register_counter(prefix + ".servfail");
     resolution_ms = r->register_histogram(prefix + ".resolution_ms");
+    conn_open = r->register_counter(prefix + ".conn_open");
+    conn_reuse = r->register_counter(prefix + ".conn_reuse");
+    reconnects = r->register_counter(prefix + ".reconnects");
+    retries = r->register_counter(prefix + ".retries");
+    timeouts = r->register_counter(prefix + ".timeouts");
+    migrations = r->register_counter(prefix + ".migrations");
+    migration_wasted_bytes =
+        r->register_counter(prefix + ".migration_wasted_bytes");
+    resumed_handshakes = r->register_counter(prefix + ".resumed_handshakes");
+    hpack_dyn_hits = r->register_counter("client.doh.hpack_dyn_hits");
+  }
+
+  void ensure(obs::Registry* r, const std::string& transport) {
+    if (registry != r) bind(r, transport);
   }
 };
+
+/// Add `delta` to one client.<t>.* counter; a no-op when metrics are off.
+inline void obs_count(const obs::SpanContext& obs, TransportMetrics& m,
+                      const std::string& transport,
+                      obs::MetricId TransportMetrics::*counter,
+                      std::uint64_t delta = 1) {
+  if (obs.metrics == nullptr) return;
+  m.ensure(obs.metrics, transport);
+  obs.metrics->add(m.*counter, delta);
+}
 
 /// Pre-registered handles for the global bytes.* counters (obs_count_cost).
 struct CostMetrics {
@@ -62,24 +96,6 @@ struct CostMetrics {
   }
 };
 
-/// Open the root `resolution` span for one query and count it under
-/// `client.<transport>.queries`. Returns 0 when tracing is off.
-inline obs::SpanId obs_begin_resolution(const obs::SpanContext& obs,
-                                        const std::string& transport,
-                                        const dns::Name& name,
-                                        dns::RType type) {
-  if (obs.metrics != nullptr) {
-    obs.metrics->add("client." + transport + ".queries");
-  }
-  const obs::SpanId span = obs.begin("resolution");
-  if (span != 0) {
-    obs.set_attr(span, "transport", transport);
-    obs.set_attr(span, "query", name.to_string());
-    obs.set_attr(span, "qtype", dns::to_string(type));
-  }
-  return span;
-}
-
 /// Copy a CostReport onto a span as the per-layer byte attributes behind the
 /// fig5 breakdown. Safe on already-closed spans (attributes may arrive after
 /// the span ends, e.g. when costs are finalized lazily at result() time).
@@ -97,58 +113,14 @@ inline void obs_span_cost(const obs::SpanContext& obs, obs::SpanId span,
   obs.set_attr(span, "packets", i64(cost.packets));
 }
 
-/// Accumulate a CostReport into the global bytes.* counters.
-inline void obs_count_cost(const obs::SpanContext& obs,
-                           const CostReport& cost) {
-  if (obs.metrics == nullptr) return;
-  auto& m = *obs.metrics;
-  m.add("bytes.wire", cost.wire_bytes);
-  m.add("bytes.dns", cost.dns_message_bytes);
-  m.add("bytes.tcp", cost.tcp_overhead_bytes);
-  m.add("bytes.tls", cost.tls_overhead_bytes);
-  m.add("bytes.http_hdr", cost.http_header_bytes);
-  m.add("bytes.http_body", cost.http_body_bytes);
-  m.add("bytes.http_mgmt", cost.http_mgmt_bytes);
-}
-
-/// Close the `resolution` span with its outcome and record the
-/// success/failure/servfail counters plus the resolution-time histogram.
-/// Byte attributes are NOT set here — clients with lazily finalized costs
-/// attach them later via obs_span_cost().
-inline void obs_finish_resolution(const obs::SpanContext& obs,
-                                  obs::SpanId span,
-                                  const std::string& transport,
-                                  const ResolutionResult& result) {
-  if (obs.metrics != nullptr) {
-    auto& m = *obs.metrics;
-    m.add("client." + transport +
-          (result.success ? ".success" : ".failures"));
-    if (result.success &&
-        result.response.flags.rcode == dns::Rcode::kServFail) {
-      m.add("client." + transport + ".servfail");
-    }
-    m.observe("client." + transport + ".resolution_ms",
-              static_cast<double>(result.resolution_time()) / 1000.0);
-  }
-  if (span != 0) {
-    obs.set_attr(span, "success", result.success);
-    obs.end(span);
-  }
-}
-
-// ---- Handle-cached fast-path overloads ------------------------------------
-// Same behaviour and metric names as the name-keyed helpers above (the
-// export is byte-identical either way); the per-query cost drops to dense
-// slot writes after the first call binds the handles.
-
-/// obs_begin_resolution via pre-registered handles.
+/// Open the root `resolution` span for one query and count it under
+/// `client.<transport>.queries`. Returns 0 when tracing is off.
 inline obs::SpanId obs_begin_resolution(const obs::SpanContext& obs,
                                         TransportMetrics& m,
                                         const std::string& transport,
                                         const dns::Name& name,
                                         dns::RType type) {
-  if (m.registry != obs.metrics) m.bind(obs.metrics, transport);
-  if (obs.metrics != nullptr) obs.metrics->add(m.queries);
+  obs_count(obs, m, transport, &TransportMetrics::queries);
   const obs::SpanId span = obs.begin("resolution");
   if (span != 0) {
     obs.set_attr(span, "transport", transport);
@@ -158,7 +130,7 @@ inline obs::SpanId obs_begin_resolution(const obs::SpanContext& obs,
   return span;
 }
 
-/// obs_count_cost via pre-registered handles.
+/// Accumulate a CostReport into the global bytes.* counters.
 inline void obs_count_cost(const obs::SpanContext& obs, CostMetrics& m,
                            const CostReport& cost) {
   if (obs.metrics == nullptr) return;
@@ -173,13 +145,16 @@ inline void obs_count_cost(const obs::SpanContext& obs, CostMetrics& m,
   r.add(m.http_mgmt, cost.http_mgmt_bytes);
 }
 
-/// obs_finish_resolution via pre-registered handles.
+/// Close the `resolution` span with its outcome and record the
+/// success/failure/servfail counters plus the resolution-time histogram.
+/// Byte attributes are NOT set here — clients with lazily finalized costs
+/// attach them later via obs_span_cost().
 inline void obs_finish_resolution(const obs::SpanContext& obs,
                                   TransportMetrics& m, obs::SpanId span,
                                   const std::string& transport,
                                   const ResolutionResult& result) {
   if (obs.metrics != nullptr) {
-    if (m.registry != obs.metrics) m.bind(obs.metrics, transport);
+    m.ensure(obs.metrics, transport);
     auto& r = *obs.metrics;
     r.add(result.success ? m.success : m.failures);
     if (result.success &&

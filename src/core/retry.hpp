@@ -1,6 +1,7 @@
 // Shared retry/reconnect policy for the connection-oriented resolver
-// clients (DoH, DoT): exponential backoff with deterministic jitter, plus a
-// per-query retry budget. Kosek et al. (DoQ) and Mozilla's TRR both show
+// clients (DoT, DoH, DoQ; plain DNS over TCP runs the default fail-fast
+// policy): exponential backoff with deterministic jitter, plus a per-query
+// retry budget. ConnectionLifecycle (core/lifecycle.hpp) applies it. Kosek et al. (DoQ) and Mozilla's TRR both show
 // that *recovery* behaviour, not steady-state latency, decides whether an
 // encrypted transport is usable on a flaky path — this policy is what the
 // chaos experiments exercise.

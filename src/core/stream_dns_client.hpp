@@ -1,0 +1,139 @@
+// DNS over a persistent byte stream with two-byte length framing and
+// multiple outstanding queries matched by DNS message ID: RFC 7766 DNS over
+// TCP, and RFC 7858 DNS over TLS, which is the same protocol inside TLS.
+// TcpDnsClient and DotClient are this class with TLS off and on.
+//
+// With a RetryPolicy (max_retries > 0) the client reconnects after
+// transport loss with exponential backoff and re-issues the queries that
+// were in flight, each under its own retry budget; a per-query timeout
+// optionally covers servers that accept but never answer. With
+// MigrationConfig it detects network churn and races a fresh connection
+// against the stalled one.
+#pragma once
+
+#include <map>
+#include <memory>
+#include <vector>
+
+#include "core/client.hpp"
+#include "core/lifecycle.hpp"
+#include "obs/span.hpp"
+#include "simnet/host.hpp"
+#include "simnet/stream.hpp"
+#include "tlssim/connection.hpp"
+
+namespace dohperf::core {
+
+struct DotClientConfig {
+  std::string server_name = "dot.example";  ///< SNI
+  tlssim::TlsVersion min_tls = tlssim::TlsVersion::kTls12;
+  tlssim::TlsVersion max_tls = tlssim::TlsVersion::kTls13;
+  tlssim::SessionCache* session_cache = nullptr;
+  /// Reconnection + per-query retry behaviour; default is fail-fast.
+  RetryPolicy retry;
+  /// Network-churn handling (stall detection, connection racing).
+  MigrationConfig migration;
+  obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
+};
+
+class StreamDnsClient : public ResolverClient {
+ public:
+  ~StreamDnsClient() override;
+
+  std::uint64_t resolve(const dns::Name& name, dns::RType type,
+                        ResolveCallback callback) override;
+  const ResolutionResult& result(std::uint64_t id) const override;
+  std::size_t completed() const override { return completed_; }
+  const RetryStats& retry_stats() const noexcept {
+    return lifecycle_.retry_stats();
+  }
+  const MigrationStats& migration_stats() const noexcept {
+    return lifecycle_.migration_stats();
+  }
+
+  /// Close the connection (a new one is opened on the next resolve).
+  /// Outstanding queries fail without retry — the close was deliberate.
+  void disconnect();
+  bool connected() const;
+
+  /// Connection-level counters of the current connection (null when none).
+  const simnet::TcpCounters* tcp_counters() const;
+
+ protected:
+  /// `tls` false runs plain TCP: the TLS fields of `config` are unused.
+  StreamDnsClient(simnet::Host& host, simnet::Address server,
+                  DotClientConfig config, bool tls);
+
+  /// TLS counters of the current connection (null when none or TCP).
+  const tlssim::TlsCounters* tls_counters() const;
+
+ private:
+  /// One TCP connection and the byte stream the client speaks over it:
+  /// the TCP stream itself, or TLS on top of it.
+  struct Connection {
+    std::shared_ptr<simnet::TcpConnection> tcp;
+    std::unique_ptr<simnet::ByteStream> stream;
+    tlssim::TlsConnection* tls = nullptr;  ///< `stream`, when TLS is on
+
+    /// Open or still handshaking: usable for new queries.
+    bool live() const;
+    /// Abort the TCP connection (no local callbacks fire) and drop the
+    /// stream; the TCP counters stay readable.
+    void drop();
+  };
+
+  /// Everything needed to answer — or re-issue — one query.
+  struct Pending {
+    std::uint64_t query_id = 0;
+    ResolveCallback callback;
+    dns::Name name;
+    dns::RType type = dns::RType::kA;
+    QueryRetry retry;
+  };
+
+  Connection open();
+  void ensure_connection(obs::SpanId parent);
+  void send_query(std::uint16_t dns_id, Pending pending);
+  void on_data(std::span<const std::uint8_t> data);
+  /// The connection is gone: fail or re-issue everything in flight.
+  /// `suspect` is the DNS ID whose timeout condemned it (0: none).
+  void on_close(ReissueCause cause = ReissueCause::kConnectionLoss,
+                std::uint16_t suspect = 0);
+  void reissue_pending(ReissueCause cause, std::uint16_t suspect = 0);
+  void on_query_timeout(std::uint16_t dns_id);
+  void fail_query(Pending pending);
+  std::uint16_t allocate_dns_id();
+  void install_handlers();
+  void account_established();
+  void begin_migration(const char* reason);
+  void promote_racer();
+  void teardown_racer();
+
+  simnet::Host& host_;
+  simnet::Address server_;
+  DotClientConfig config_;
+  bool use_tls_;
+  ConnectionLifecycle lifecycle_;
+  CostMetrics cmetrics_;
+
+  Connection conn_;
+  dns::Bytes rx_;
+
+  // Migration race: the fresh connection racing the stalled one, and the
+  // stalled side's byte count at race start (everything it moves after
+  // that is wasted if it loses).
+  Connection racer_;
+  std::uint64_t race_baseline_bytes_ = 0;
+  obs::SpanId connect_span_ = 0;
+  obs::SpanId tcp_hs_span_ = 0;
+  obs::SpanId tls_hs_span_ = 0;
+  bool closing_ = false;  ///< disconnect() in progress: do not retry
+
+  std::uint16_t next_dns_id_ = 1;
+  std::uint64_t next_query_id_ = 0;
+  std::uint64_t completed_ = 0;
+  std::map<std::uint16_t, Pending> pending_;
+  std::vector<ResolutionResult> results_;
+};
+
+}  // namespace dohperf::core

@@ -1,101 +1,33 @@
 // Plain DNS-over-TCP client (RFC 7766): persistent TCP connection, two-byte
 // length framing, multiple outstanding queries matched by DNS message ID —
 // connection-oriented DNS without encryption (the paper's reference [26]).
-//
-// With MigrationConfig enabled the client handles network churn the simple
-// way (no TLS state worth racing for): drop the suspect connection,
-// reconnect, and re-send every query that was in flight.
+// It is the DoT client with TLS switched off, and fail-fast: no retries,
+// no migration.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <vector>
-
-#include "core/client.hpp"
-#include "core/migration.hpp"
-#include "core/obs_hooks.hpp"
-#include "obs/span.hpp"
-#include "simnet/host.hpp"
-#include "simnet/stream.hpp"
+#include "core/stream_dns_client.hpp"
 
 namespace dohperf::core {
 
 struct TcpDnsClientConfig {
-  /// Network-churn handling (stall detection + reconnect-and-reissue).
-  MigrationConfig migration;
-  /// Per-query cap on migration re-sends (the client has no RetryPolicy);
-  /// without it a permanently dead path would stall-migrate-reissue forever
-  /// and the event loop would never drain.
-  int max_migration_reissues = 2;
   obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
 };
 
-class TcpDnsClient final : public ResolverClient {
+class TcpDnsClient final : public StreamDnsClient {
  public:
   TcpDnsClient(simnet::Host& host, simnet::Address server,
-               obs::SpanContext obs = {});
+               obs::SpanContext obs = {})
+      : TcpDnsClient(host, server, TcpDnsClientConfig{obs}) {}
   TcpDnsClient(simnet::Host& host, simnet::Address server,
-               TcpDnsClientConfig config);
-  ~TcpDnsClient() override;
-
-  std::uint64_t resolve(const dns::Name& name, dns::RType type,
-                        ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
-  const MigrationStats& migration_stats() const noexcept {
-    return migration_stats_;
-  }
-
-  void disconnect();
-  bool connected() const;
-  const simnet::TcpCounters* tcp_counters() const;
+               TcpDnsClientConfig config)
+      : StreamDnsClient(host, server, plain(config), /*tls=*/false) {}
 
  private:
-  struct Pending {
-    std::uint64_t query_id;
-    ResolveCallback callback;
-    dns::Name name;  ///< kept for re-issue after migration
-    dns::RType type = dns::RType::kA;
-    int reissues_left = 0;
-    obs::SpanId span = 0;
-  };
-
-  void ensure_connection(obs::SpanId parent);
-  /// Re-register the client.tcp.* handles when the registry changes.
-  void bind_obs_ids();
-  void on_data(std::span<const std::uint8_t> data);
-  void on_close();
-  void send_framed(std::uint16_t dns_id, const Pending& pending);
-  void arm_stall_timer();
-  void on_stall();
-  void begin_migration(const char* reason);
-  void reissue_all();
-
-  simnet::Host& host_;
-  simnet::Address server_;
-  MigrationConfig migration_;
-  int max_migration_reissues_ = 2;
-  obs::SpanContext obs_;
-  TransportMetrics tmetrics_;
-  CostMetrics cmetrics_;
-  obs::MetricId m_conn_open_;
-  obs::MetricId m_conn_reuse_;
-  obs::MetricId m_migrations_;
-  obs::Registry* bound_metrics_ = nullptr;
-  MigrationStats migration_stats_;
-  std::shared_ptr<simnet::TcpConnection> tcp_;
-  std::unique_ptr<simnet::TcpByteStream> stream_;
-  dns::Bytes rx_;
-  obs::SpanId connect_span_ = 0;
-  obs::SpanId tcp_hs_span_ = 0;
-  simnet::EventId stall_timer_;
-  std::uint64_t listener_id_ = 0;
-
-  std::uint16_t next_dns_id_ = 1;
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
-  std::map<std::uint16_t, Pending> pending_;
-  std::vector<ResolutionResult> results_;
+  static DotClientConfig plain(const TcpDnsClientConfig& config) {
+    DotClientConfig plain;
+    plain.obs = config.obs;
+    return plain;
+  }
 };
 
 }  // namespace dohperf::core

@@ -22,15 +22,6 @@ UdpResolverClient::~UdpResolverClient() {
   host_.udp_close(*socket_);
 }
 
-void UdpResolverClient::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
-  if (r == bound_metrics_) return;
-  bound_metrics_ = r;
-  if (r == nullptr) return;
-  m_retries_ = r->register_counter("client.udp.retries");
-  m_timeouts_ = r->register_counter("client.udp.timeouts");
-}
-
 std::uint64_t UdpResolverClient::resolve(const dns::Name& name,
                                          dns::RType type,
                                          ResolveCallback callback) {
@@ -46,7 +37,6 @@ std::uint64_t UdpResolverClient::resolve(const dns::Name& name,
   pending.wire = query.encode();
   pending.callback = std::move(callback);
   pending.retries_left = config_.max_retries;
-  bind_obs_ids();
   pending.span =
       obs_begin_resolution(config_.obs, tmetrics_, "udp", name, type);
 
@@ -96,17 +86,13 @@ void UdpResolverClient::on_timeout(std::uint16_t dns_id) {
                            static_cast<std::int64_t>(p.attempt));
       config_.obs.end(retry);
     }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_retries_);
-    }
+    obs_count(config_.obs, tmetrics_, "udp", &TransportMetrics::retries);
     ++retransmissions_;
     send_query(dns_id);
     return;
   }
   ++timeouts_;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_timeouts_);
-  }
+  obs_count(config_.obs, tmetrics_, "udp", &TransportMetrics::timeouts);
   finish(dns_id, false, {}, 0);
 }
 

@@ -57,17 +57,11 @@ class UdpResolverClient final : public ResolverClient {
   void finish(std::uint16_t dns_id, bool success, dns::Message response,
               std::size_t response_bytes);
 
-  /// Re-register the client.udp.* handles when the registry changes.
-  void bind_obs_ids();
-
   simnet::Host& host_;
   simnet::Address server_;
   UdpClientConfig config_;
   TransportMetrics tmetrics_;
   CostMetrics cmetrics_;
-  obs::MetricId m_retries_;
-  obs::MetricId m_timeouts_;
-  obs::Registry* bound_metrics_ = nullptr;
   simnet::UdpSocket* socket_;
   std::uint16_t next_dns_id_ = 1;
   std::uint64_t next_query_id_ = 0;

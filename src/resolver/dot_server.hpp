@@ -1,82 +1,18 @@
 // DNS-over-TLS front-end (RFC 7858): TLS on port 853, DNS messages framed
-// with a two-byte length prefix.
-//
-// The ordering policy models the finding in §3: out-of-order responses are
-// permitted by the RFC but require per-request state; of the public DoT
-// deployments the paper checked, only Cloudflare implemented them. The
-// default (in-order) therefore serializes responses in arrival order —
-// which is exactly what produces DoT's head-of-line blocking in Figure 2.
+// with a two-byte length prefix — the DNS-over-TCP front-end with TLS
+// switched on.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <vector>
-
-#include "resolver/query_handler.hpp"
-#include "simnet/host.hpp"
-#include "tlssim/connection.hpp"
+#include "resolver/stream_dns_server.hpp"
 
 namespace dohperf::resolver {
 
-struct DotServerConfig {
-  tlssim::ServerConfig tls;
-  /// false (default): responses serialized in query order, like most
-  /// 2019-era servers. true: respond as soon as ready (Cloudflare-style).
-  bool out_of_order = false;
-  /// Hardening: close on zero-length or oversized frames (see
-  /// TcpDnsServerConfig::max_message_bytes).
-  std::size_t max_message_bytes = 4096;
-};
-
-class DotServer {
+class DotServer final : public StreamDnsServer {
  public:
   DotServer(simnet::Host& host, QueryHandler& handler, DotServerConfig config,
-            std::uint16_t port = 853);
-  ~DotServer();
-
-  DotServer(const DotServer&) = delete;
-  DotServer& operator=(const DotServer&) = delete;
-
-  simnet::Address address() const { return {host_.id(), port_}; }
-  std::size_t session_count() const noexcept { return sessions_.size(); }
-  /// Connections dropped for unparseable or oversized frames.
-  std::uint64_t malformed() const noexcept { return malformed_; }
-
-  /// Simulate a crash + restart: RST every live connection and stop
-  /// listening; the listener comes back after `downtime`.
-  void restart(simnet::TimeUs downtime);
-  bool listening() const noexcept { return listening_; }
-  std::uint64_t restarts() const noexcept { return restarts_; }
-
- private:
-  struct Session {
-    std::unique_ptr<tlssim::TlsConnection> tls;
-    std::weak_ptr<simnet::TcpConnection> tcp;  ///< for abortive restart
-    simnet::Bytes rx;
-    std::uint64_t next_assigned = 0;
-    std::uint64_t next_to_send = 0;
-    std::map<std::uint64_t, dns::Bytes> ready;  ///< in-order buffering
-    bool dead = false;
-    simnet::NodeId peer = 0;  ///< requesting client, for QueryContext
-    std::weak_ptr<Session> self;  ///< for continuations that may outlive us
-  };
-
-  void listen();
-  void on_accept(std::shared_ptr<simnet::TcpConnection> conn);
-  void on_data(Session& session, std::span<const std::uint8_t> data);
-  void answer(Session& session, std::uint64_t sequence, dns::Bytes wire);
-  void prune();
-
-  simnet::Host& host_;
-  QueryHandler& handler_;
-  DotServerConfig config_;
-  std::uint16_t port_;
-  std::uint64_t malformed_ = 0;
-  bool listening_ = false;
-  std::uint64_t restarts_ = 0;
-  /// Guards the deferred re-listen against the server being destroyed.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-  std::vector<std::shared_ptr<Session>> sessions_;
+            std::uint16_t port = 853)
+      : StreamDnsServer(host, handler, std::move(config), /*tls=*/true,
+                        port) {}
 };
 
 }  // namespace dohperf::resolver

@@ -1,29 +1,31 @@
-#include "resolver/dot_server.hpp"
-
-#include "simnet/stream.hpp"
+#include "resolver/stream_dns_server.hpp"
 
 namespace dohperf::resolver {
 
-DotServer::DotServer(simnet::Host& host, QueryHandler& handler,
-                     DotServerConfig config, std::uint16_t port)
-    : host_(host), handler_(handler), config_(std::move(config)),
+StreamDnsServer::StreamDnsServer(simnet::Host& host, QueryHandler& handler,
+                                 DotServerConfig config, bool tls,
+                                 std::uint16_t port)
+    : host_(host),
+      handler_(handler),
+      config_(std::move(config)),
+      tls_(tls),
       port_(port) {
   listen();
 }
 
-DotServer::~DotServer() {
+StreamDnsServer::~StreamDnsServer() {
   *alive_ = false;
   if (listening_) host_.tcp_stop_listening(port_);
 }
 
-void DotServer::listen() {
+void StreamDnsServer::listen() {
   host_.tcp_listen(port_, [this](std::shared_ptr<simnet::TcpConnection> c) {
     on_accept(std::move(c));
   });
   listening_ = true;
 }
 
-void DotServer::restart(simnet::TimeUs downtime) {
+void StreamDnsServer::restart(simnet::TimeUs downtime) {
   // Reset at the host level so connections still mid-handshake (not yet
   // delivered to on_accept) die with the crashed process too.
   host_.tcp_reset_port(port_);
@@ -45,33 +47,39 @@ void DotServer::restart(simnet::TimeUs downtime) {
                            });
 }
 
-void DotServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {
+void StreamDnsServer::on_accept(std::shared_ptr<simnet::TcpConnection> conn) {
   prune();
   auto session = std::make_shared<Session>();
   Session* s = session.get();
-  session->tcp = conn;
-  session->peer = conn->remote().node;
-  session->tls = std::make_unique<tlssim::TlsConnection>(
-      std::make_unique<simnet::TcpByteStream>(std::move(conn)), &config_.tls);
-  tlssim::TlsConnection::Handlers h;
-  h.on_open = []() {};
-  h.on_data = [this, s](std::span<const std::uint8_t> d) { on_data(*s, d); };
-  h.on_close = [s]() { s->dead = true; };
-  session->tls->set_handlers(std::move(h));
   session->self = session;
+  session->peer = conn->remote().node;
+  session->stream = std::make_unique<simnet::TcpByteStream>(std::move(conn));
+  if (tls_) {
+    session->stream = std::make_unique<tlssim::TlsConnection>(
+        std::move(session->stream), &config_.tls);
+  }
+  simnet::ByteStream::Handlers h;
+  h.on_data = [this, s](std::span<const std::uint8_t> d) { on_data(*s, d); };
+  h.on_close = [s]() {
+    s->dead = true;
+    // The peer closed (or half-closed): close our side so both TCP state
+    // machines can finish. TLS has done so already.
+    s->stream->close();
+  };
+  session->stream->set_handlers(std::move(h));
   sessions_.push_back(std::move(session));
 }
 
-void DotServer::on_data(Session& session, std::span<const std::uint8_t> data) {
+void StreamDnsServer::on_data(Session& session,
+                              std::span<const std::uint8_t> data) {
   session.rx.insert(session.rx.end(), data.begin(), data.end());
-  // RFC 7858 framing: u16 length prefix per DNS message.
   while (session.rx.size() >= 2) {
     const std::size_t len =
         (static_cast<std::size_t>(session.rx[0]) << 8) | session.rx[1];
+    // Hardening: a zero-length or oversized frame is a malformed peer;
+    // close deterministically rather than buffering or asserting.
     if (len == 0 || len > config_.max_message_bytes) {
-      ++malformed_;
-      session.tls->close();
-      session.dead = true;
+      reject(session);
       return;
     }
     if (session.rx.size() < 2 + len) break;
@@ -84,16 +92,15 @@ void DotServer::on_data(Session& session, std::span<const std::uint8_t> data) {
     try {
       query = dns::Message::decode(wire);
     } catch (const dns::WireError&) {
-      ++malformed_;
-      session.tls->close();
-      session.dead = true;
+      reject(session);
       return;
     }
     const std::uint64_t sequence = session.next_assigned++;
     // The continuation may outlive the session (client closed meanwhile);
-    // find the live session by address via the weak pointer.
+    // find the live session via the weak pointer.
     std::weak_ptr<Session> weak = session.self;
-    const QueryContext context{session.peer, Transport::kDot};
+    const QueryContext context{session.peer,
+                               tls_ ? Transport::kDot : Transport::kTcp};
     handler_.handle(query, context,
                     [this, weak, sequence](dns::Message response) {
                       if (const auto s = weak.lock()) {
@@ -103,17 +110,23 @@ void DotServer::on_data(Session& session, std::span<const std::uint8_t> data) {
   }
 }
 
-void DotServer::answer(Session& session, std::uint64_t sequence,
-                       dns::Bytes wire) {
-  if (session.dead) return;
-  auto frame = [](const dns::Bytes& msg) {
+void StreamDnsServer::reject(Session& session) {
+  ++malformed_;
+  session.stream->close();
+  session.dead = true;
+}
+
+void StreamDnsServer::answer(Session& session, std::uint64_t sequence,
+                             dns::Bytes wire) {
+  if (session.dead || !session.stream->is_open()) return;
+  const auto frame = [](const dns::Bytes& msg) {
     dns::ByteWriter w;
     w.u16(static_cast<std::uint16_t>(msg.size()));
     w.bytes(msg);
     return w.take();
   };
   if (config_.out_of_order) {
-    session.tls->send(frame(wire));
+    session.stream->send(frame(wire));
     return;
   }
   // In-order: buffer until every earlier response has been sent. This is
@@ -122,13 +135,13 @@ void DotServer::answer(Session& session, std::uint64_t sequence,
   while (true) {
     const auto it = session.ready.find(session.next_to_send);
     if (it == session.ready.end()) break;
-    session.tls->send(frame(it->second));
+    session.stream->send(frame(it->second));
     session.ready.erase(it);
     ++session.next_to_send;
   }
 }
 
-void DotServer::prune() {
+void StreamDnsServer::prune() {
   std::erase_if(sessions_,
                 [](const std::shared_ptr<Session>& s) { return s->dead; });
 }

@@ -2,66 +2,20 @@
 // TCP port 53, no TLS. This is the classic truncation-fallback transport
 // and the substrate of "connection-oriented DNS" (Zhu et al., the paper's
 // reference [26]); the library implements it both for completeness and as
-// an extra comparison point between UDP and the encrypted transports.
+// an extra comparison point between UDP and the encrypted transports. It
+// is the DoT front-end with TLS switched off.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <vector>
-
-#include "resolver/query_handler.hpp"
-#include "simnet/host.hpp"
-#include "simnet/stream.hpp"
+#include "resolver/stream_dns_server.hpp"
 
 namespace dohperf::resolver {
 
-struct TcpDnsServerConfig {
-  /// Like DoT: most servers answer in order; out-of-order requires
-  /// per-query state.
-  bool out_of_order = false;
-  /// Hardening: a length prefix larger than this (or zero) is treated as a
-  /// malformed peer and the connection is closed deterministically instead
-  /// of buffering up to 64 KiB per frame. Queries never approach this.
-  std::size_t max_message_bytes = 4096;
-};
-
-class TcpDnsServer {
+class TcpDnsServer final : public StreamDnsServer {
  public:
   TcpDnsServer(simnet::Host& host, QueryHandler& handler,
-               TcpDnsServerConfig config = {}, std::uint16_t port = 53);
-  ~TcpDnsServer();
-
-  TcpDnsServer(const TcpDnsServer&) = delete;
-  TcpDnsServer& operator=(const TcpDnsServer&) = delete;
-
-  simnet::Address address() const { return {host_.id(), port_}; }
-  std::size_t session_count() const noexcept { return sessions_.size(); }
-  /// Connections dropped for unparseable or oversized frames.
-  std::uint64_t malformed() const noexcept { return malformed_; }
-
- private:
-  struct Session {
-    std::unique_ptr<simnet::TcpByteStream> stream;
-    simnet::Bytes rx;
-    std::uint64_t next_assigned = 0;
-    std::uint64_t next_to_send = 0;
-    std::map<std::uint64_t, dns::Bytes> ready;
-    bool dead = false;
-    simnet::NodeId peer = 0;  ///< requesting client, for QueryContext
-    std::weak_ptr<Session> self;
-  };
-
-  void on_accept(std::shared_ptr<simnet::TcpConnection> conn);
-  void on_data(Session& session, std::span<const std::uint8_t> data);
-  void answer(Session& session, std::uint64_t sequence, dns::Bytes wire);
-  void prune();
-
-  simnet::Host& host_;
-  QueryHandler& handler_;
-  TcpDnsServerConfig config_;
-  std::uint16_t port_;
-  std::uint64_t malformed_ = 0;
-  std::vector<std::shared_ptr<Session>> sessions_;
+               TcpDnsServerConfig config = {}, std::uint16_t port = 53)
+      : StreamDnsServer(host, handler, DotServerConfig{config, {}},
+                        /*tls=*/false, port) {}
 };
 
 }  // namespace dohperf::resolver

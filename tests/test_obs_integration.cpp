@@ -6,15 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "core/doh_client.hpp"
+#include "core/dot_client.hpp"
+#include "core/tcp_dns_client.hpp"
 #include "core/udp_client.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
+#include "resolver/dot_server.hpp"
+#include "resolver/tcp_dns_server.hpp"
 #include "resolver/udp_server.hpp"
 #include "sim_fixture.hpp"
 
@@ -79,6 +84,80 @@ TEST(ObsDeterminism, SameSeedRunsExportByteIdenticalJson) {
   // Sanity: the exports actually carry content, not two empty documents.
   EXPECT_NE(first.trace.find("\"tls_handshake\""), std::string::npos);
   EXPECT_NE(first.metrics.find("client.doh_h2.success"), std::string::npos);
+}
+
+// --- DNS over TCP and DoT share one span shape -------------------------------
+
+/// The `request` span of one resolution, reduced to what must not depend on
+/// whether TLS is on.
+struct RequestShape {
+  std::int64_t attempt = 0;
+  bool ends_with_response = false;  ///< closes with its resolution span
+  bool operator==(const RequestShape&) const = default;
+  friend void PrintTo(const RequestShape& shape, std::ostream* os) {
+    *os << "{attempt=" << shape.attempt
+        << " ends_with_response=" << shape.ends_with_response << "}";
+  }
+};
+
+// The same lossless scenario (three sequential queries on one connection)
+// over plain TCP or over DoT; returns the request span of each resolution.
+std::vector<RequestShape> stream_request_shapes(bool tls) {
+  obs::Tracer tracer;
+  simnet::EventLoop loop;
+  tracer.bind(loop);
+  simnet::Network net(loop, /*seed=*/7);
+  simnet::Host client_host(net, "client");
+  simnet::Host server_host(net, "resolver");
+  simnet::LinkConfig link;
+  link.latency = simnet::ms(5);
+  net.connect(client_host.id(), server_host.id(), link);
+
+  const obs::SpanContext obs_ctx{&tracer, 0, nullptr};
+  resolver::Engine engine(loop, {});
+  std::unique_ptr<resolver::StreamDnsServer> dns_server;
+  std::unique_ptr<ResolverClient> client;
+  if (tls) {
+    dns_server =
+        std::make_unique<resolver::DotServer>(server_host, engine,
+                                              resolver::DotServerConfig{}, 853);
+    DotClientConfig config;
+    config.server_name = "example.net";
+    config.obs = obs_ctx;
+    client = std::make_unique<DotClient>(client_host,
+                                         simnet::Address{server_host.id(), 853},
+                                         config);
+  } else {
+    dns_server = std::make_unique<resolver::TcpDnsServer>(server_host, engine);
+    client = std::make_unique<TcpDnsClient>(
+        client_host, simnet::Address{server_host.id(), 53}, obs_ctx);
+  }
+  for (const char* n : {"a.example.com", "b.example.com", "c.example.com"}) {
+    client->resolve(name(n), dns::RType::kA, {});
+    loop.run();
+  }
+
+  std::vector<RequestShape> shapes;
+  for (const auto& span : tracer.spans()) {
+    if (span.name != "request") continue;
+    const obs::Span& resolution = tracer.spans()[span.parent - 1];
+    shapes.push_back({attr_int(span, "attempt"),
+                      !span.open && !resolution.open &&
+                          span.end == resolution.end &&
+                          span.end > span.start});
+  }
+  return shapes;
+}
+
+TEST(ObsStreamSpans, TcpRequestSpanMatchesDot) {
+  const std::vector<RequestShape> tcp = stream_request_shapes(false);
+  const std::vector<RequestShape> dot = stream_request_shapes(true);
+  ASSERT_EQ(dot.size(), 3u);
+  for (const RequestShape& shape : dot) {
+    EXPECT_EQ(shape.attempt, 1);
+    EXPECT_TRUE(shape.ends_with_response);
+  }
+  EXPECT_EQ(tcp, dot);
 }
 
 // --- span lifecycle under failure -------------------------------------------

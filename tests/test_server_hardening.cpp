@@ -1,8 +1,9 @@
 // Server hardening against malformed and abusive input: the TCP-DNS and
-// DoT front-ends' length-prefix validation, the TLS terminator's handling
-// of raw garbage, the DoH server's bad-HTTP/2 and oversized-body paths, and
-// the DoH session cap with oldest-idle eviction. Every case must end in a
-// deterministic reply or reset — never a hang, crash, or unbounded buffer.
+// DoT front-ends' length-prefix validation (every case runs on both), the
+// TLS terminator's handling of raw garbage, the DoH server's bad-HTTP/2 and
+// oversized-body paths, and the DoH session cap with oldest-idle eviction.
+// Every case must end in a deterministic reply or reset — never a hang,
+// crash, or unbounded buffer.
 #include <gtest/gtest.h>
 
 #include "core/doh_client.hpp"
@@ -23,101 +24,150 @@ using simnet::Bytes;
 
 dns::Name name(const char* n) { return dns::Name::parse(n); }
 
-// --- TCP-DNS length-prefix validation --------------------------------------
+// --- TCP-DNS and DoT length-prefix validation ------------------------------
+
+/// The length-prefixed front ends: DNS over TCP, and the same framing
+/// inside TLS (DoT). Every case below runs against both.
+enum class FrontEnd { kTcp, kDot };
+constexpr FrontEnd kFrontEnds[] = {FrontEnd::kTcp, FrontEnd::kDot};
+
+const char* to_string(FrontEnd front_end) {
+  return front_end == FrontEnd::kTcp ? "tcp" : "dot";
+}
 
 class TcpDnsHardeningTest : public TwoHostFixture {
  protected:
+  /// A raw client: the TCP connection and the stream over it (TCP itself,
+  /// or TLS for DoT).
+  struct RawClient {
+    std::shared_ptr<simnet::TcpConnection> tcp;
+    std::unique_ptr<simnet::ByteStream> stream;
+  };
+
   resolver::EngineConfig engine_config;
   std::unique_ptr<resolver::Engine> engine;
-  std::unique_ptr<resolver::TcpDnsServer> tcp_server;
+  std::unique_ptr<resolver::StreamDnsServer> dns_server;
 
-  void start(resolver::TcpDnsServerConfig config = {}) {
+  void start(FrontEnd front_end, resolver::TcpDnsServerConfig config = {}) {
+    dns_server.reset();
     engine = std::make_unique<resolver::Engine>(loop, engine_config);
-    tcp_server =
-        std::make_unique<resolver::TcpDnsServer>(server, *engine, config, 53);
+    if (front_end == FrontEnd::kTcp) {
+      dns_server = std::make_unique<resolver::TcpDnsServer>(server, *engine,
+                                                            config, 53);
+    } else {
+      dns_server = std::make_unique<resolver::DotServer>(
+          server, *engine, resolver::DotServerConfig{config, {}}, 853);
+    }
   }
 
-  /// Open a raw connection and send `bytes` once connected; returns the
-  /// connection and collects whatever the server sends back.
-  std::shared_ptr<simnet::TcpConnection> send_raw(Bytes bytes, Bytes* reply) {
-    auto conn = client.tcp_connect({server.id(), 53});
-    simnet::TcpCallbacks cbs;
-    cbs.on_connected = [conn, bytes = std::move(bytes)]() {
-      conn->send(bytes);
+  /// Open a raw connection and send `bytes` once the stream is open (after
+  /// the TLS handshake for DoT); collects whatever the server sends back.
+  RawClient send_raw(FrontEnd front_end, Bytes bytes, Bytes* reply) {
+    RawClient c;
+    c.tcp = client.tcp_connect(
+        {server.id(), front_end == FrontEnd::kTcp ? std::uint16_t{53}
+                                                  : std::uint16_t{853}});
+    c.stream = std::make_unique<simnet::TcpByteStream>(c.tcp);
+    if (front_end == FrontEnd::kDot) {
+      tlssim::ClientConfig tls_config;
+      tls_config.sni = "example.net";
+      c.stream = std::make_unique<tlssim::TlsConnection>(
+          std::move(c.stream), std::move(tls_config));
+    }
+    simnet::ByteStream::Handlers h;
+    h.on_open = [stream = c.stream.get(), bytes = std::move(bytes)]() {
+      stream->send(bytes);
     };
-    cbs.on_data = [reply](std::span<const std::uint8_t> d) {
+    h.on_data = [reply](std::span<const std::uint8_t> d) {
       if (reply) reply->insert(reply->end(), d.begin(), d.end());
     };
-    conn->set_callbacks(std::move(cbs));
-    return conn;
+    c.stream->set_handlers(std::move(h));
+    return c;
   }
 };
 
 TEST_F(TcpDnsHardeningTest, ZeroLengthPrefixResetsConnection) {
-  start();
-  Bytes reply;
-  auto conn = send_raw({0x00, 0x00}, &reply);
-  loop.run();
-  EXPECT_EQ(tcp_server->malformed(), 1u);
-  EXPECT_FALSE(conn->established());
-  EXPECT_TRUE(reply.empty());
+  for (const FrontEnd front_end : kFrontEnds) {
+    SCOPED_TRACE(to_string(front_end));
+    start(front_end);
+    Bytes reply;
+    const RawClient c = send_raw(front_end, {0x00, 0x00}, &reply);
+    loop.run();
+    EXPECT_EQ(dns_server->malformed(), 1u);
+    EXPECT_FALSE(c.tcp->established());
+    EXPECT_TRUE(reply.empty());
+  }
 }
 
 TEST_F(TcpDnsHardeningTest, OversizedLengthPrefixResetsConnection) {
-  resolver::TcpDnsServerConfig config;
-  config.max_message_bytes = 512;
-  start(config);
-  Bytes reply;
-  // Prefix declares 0xffff bytes — far past the cap; the server must close
-  // immediately rather than buffer 64 KiB of attacker-paced bytes.
-  auto conn = send_raw({0xff, 0xff}, &reply);
-  loop.run();
-  EXPECT_EQ(tcp_server->malformed(), 1u);
-  EXPECT_FALSE(conn->established());
-  EXPECT_TRUE(reply.empty());
+  for (const FrontEnd front_end : kFrontEnds) {
+    SCOPED_TRACE(to_string(front_end));
+    resolver::TcpDnsServerConfig config;
+    config.max_message_bytes = 512;
+    start(front_end, config);
+    Bytes reply;
+    // Prefix declares 0xffff bytes — far past the cap; the server must
+    // close immediately rather than buffer 64 KiB of attacker-paced bytes.
+    const RawClient c = send_raw(front_end, {0xff, 0xff}, &reply);
+    loop.run();
+    EXPECT_EQ(dns_server->malformed(), 1u);
+    EXPECT_FALSE(c.tcp->established());
+    EXPECT_TRUE(reply.empty());
+  }
 }
 
 TEST_F(TcpDnsHardeningTest, UndecodableFrameResetsConnection) {
-  start();
-  auto conn = send_raw({0x00, 0x03, 0xde, 0xad, 0xbe}, nullptr);
-  loop.run();
-  EXPECT_EQ(tcp_server->malformed(), 1u);
-  EXPECT_FALSE(conn->established());
+  for (const FrontEnd front_end : kFrontEnds) {
+    SCOPED_TRACE(to_string(front_end));
+    start(front_end);
+    const RawClient c =
+        send_raw(front_end, {0x00, 0x03, 0xde, 0xad, 0xbe}, nullptr);
+    loop.run();
+    EXPECT_EQ(dns_server->malformed(), 1u);
+    EXPECT_FALSE(c.tcp->established());
+  }
 }
 
 TEST_F(TcpDnsHardeningTest, TruncatedFrameIsBufferedNotFatal) {
-  start();
-  // A valid prefix for 100 bytes with only 3 sent: incomplete, not
-  // malformed. The server waits for the rest; the client gives up and
-  // closes; everything unwinds cleanly.
-  auto conn = send_raw({0x00, 0x64, 0x01, 0x02, 0x03}, nullptr);
-  loop.schedule_at(simnet::ms(200), [conn]() { conn->close(); });
-  loop.run();
-  EXPECT_EQ(tcp_server->malformed(), 0u);
+  for (const FrontEnd front_end : kFrontEnds) {
+    SCOPED_TRACE(to_string(front_end));
+    start(front_end);
+    // A valid prefix for 100 bytes with only 3 sent: incomplete, not
+    // malformed. The server waits for the rest; the client gives up and
+    // closes; everything unwinds cleanly.
+    const RawClient c =
+        send_raw(front_end, {0x00, 0x64, 0x01, 0x02, 0x03}, nullptr);
+    loop.schedule_in(simnet::ms(200), [tcp = c.tcp]() { tcp->close(); });
+    loop.run();
+    EXPECT_EQ(dns_server->malformed(), 0u);
+  }
 }
 
 TEST_F(TcpDnsHardeningTest, WellFormedQueryStillAnswered) {
-  start();
-  const dns::Bytes query = dns::Message::make_query(7, name("ok.example"))
-                               .encode();
-  Bytes framed{static_cast<std::uint8_t>(query.size() >> 8),
-               static_cast<std::uint8_t>(query.size() & 0xff)};
-  framed.insert(framed.end(), query.begin(), query.end());
-  Bytes reply;
-  send_raw(std::move(framed), &reply);
-  loop.run();
-  ASSERT_GT(reply.size(), 2u);
-  const std::size_t len =
-      (static_cast<std::size_t>(reply[0]) << 8) | reply[1];
-  ASSERT_EQ(reply.size(), 2 + len);
-  const dns::Message response =
-      dns::Message::decode({reply.begin() + 2, reply.end()});
-  EXPECT_EQ(response.id, 7);
-  EXPECT_EQ(response.flags.rcode, dns::Rcode::kNoError);
-  EXPECT_EQ(tcp_server->malformed(), 0u);
+  for (const FrontEnd front_end : kFrontEnds) {
+    SCOPED_TRACE(to_string(front_end));
+    start(front_end);
+    const dns::Bytes query =
+        dns::Message::make_query(7, name("ok.example")).encode();
+    Bytes framed{static_cast<std::uint8_t>(query.size() >> 8),
+                 static_cast<std::uint8_t>(query.size() & 0xff)};
+    framed.insert(framed.end(), query.begin(), query.end());
+    Bytes reply;
+    const RawClient c = send_raw(front_end, std::move(framed), &reply);
+    loop.run();
+    ASSERT_GT(reply.size(), 2u);
+    const std::size_t len =
+        (static_cast<std::size_t>(reply[0]) << 8) | reply[1];
+    ASSERT_EQ(reply.size(), 2 + len);
+    const dns::Message response =
+        dns::Message::decode({reply.begin() + 2, reply.end()});
+    EXPECT_EQ(response.id, 7);
+    EXPECT_EQ(response.flags.rcode, dns::Rcode::kNoError);
+    EXPECT_EQ(dns_server->malformed(), 0u);
+  }
 }
 
-// --- DoT: same framing rules inside TLS ------------------------------------
+// --- DoT: a zero-length frame through a full TLS client ---------------------
 
 TEST_F(TwoHostFixture, DotZeroLengthFrameInsideTlsResetsConnection) {
   resolver::Engine engine(loop, {});
