@@ -24,17 +24,16 @@
 //
 // Every random draw (arrivals, Zipf ranks, loss, faults, backoff jitter)
 // comes from seeded generators over virtual time, so the whole table is a
-// pure function of --seed: the harness runs the grid twice and verifies the
-// two renderings are byte-identical before printing, and shards (one per
-// cell) merge by index so --jobs=N output matches serial byte-for-byte.
+// pure function of --seed; bench/matrix.hpp runs the grid twice and checks
+// the two renderings are byte-identical, and merges its one-per-cell shards
+// by index so --jobs=N output matches serial byte-for-byte.
 #include <array>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "shard_runner.hpp"
+#include "matrix.hpp"
 #include "core/caching_client.hpp"
 #include "core/doh_client.hpp"
 #include "core/hedging_client.hpp"
@@ -99,6 +98,8 @@ struct RunMetrics {
   std::size_t stale_answers = 0;  ///< available via an expired entry
   std::vector<double> staleness_ms;   ///< age past TTL of each stale answer
   std::vector<double> resolution_ms;  ///< all queries, answered or failed
+  /// Upstream queries sent; on the bare-DoH rung every query is its own.
+  std::uint64_t upstream_queries = 0;
   core::CacheStats cache;
   core::HedgeStats hedge;
 };
@@ -258,152 +259,52 @@ RunMetrics run(const Scenario& scenario, const std::string& rung,
   }
   if (cache != nullptr) m.cache = cache->stats();
   if (hedging != nullptr) m.hedge = hedging->stats();
+  m.upstream_queries = cache != nullptr ? m.cache.upstream_queries : queries;
   return m;
 }
 
-/// One cell of the grid plus its private metrics registry (merged into the
-/// global registry in cell order, so the merged result is --jobs-invariant).
-// detlint: hot-slot
-struct alignas(64) Cell {
-  RunMetrics metrics;
-  obs::Registry registry;
-};
-
-std::vector<Cell> run_grid(std::uint64_t seed, std::size_t queries,
-                           double rate_qps, std::size_t jobs,
-                           bool with_registry) {
-  const auto grid = scenarios();
-  return bench::run_sharded<Cell>(
-      grid.size() * kRungs.size(), jobs, [&](std::size_t i) {
-        Cell cell;
-        cell.metrics =
-            run(grid[i / kRungs.size()], kRungs[i % kRungs.size()], seed,
-                queries, rate_qps, with_registry ? &cell.registry : nullptr);
-        return cell;
-      });
-}
-
 double availability_pct(const RunMetrics& m) {
-  return m.queries == 0 ? 0.0
-                        : 100.0 * static_cast<double>(m.available) /
-                              static_cast<double>(m.queries);
+  return bench::percent(m.available, m.queries);
 }
 
-std::string render_matrix(const std::vector<Cell>& cells,
-                          bench::BenchReport* json_report = nullptr) {
-  stats::TextTable table;
-  table.add_row({"scenario", "rung", "avail%", "stale%", "stale-age-p50(s)",
-                 "p50(ms)", "p99(ms)", "upstream", "coalesced", "hedges"});
-  std::size_t cell_index = 0;
-  for (const auto& scenario : scenarios()) {
-    for (const char* rung : kRungs) {
-      const RunMetrics& m = cells[cell_index++].metrics;
-      const double avail = availability_pct(m);
-      const double stale_pct =
-          m.queries == 0 ? 0.0
-                         : 100.0 * static_cast<double>(m.stale_answers) /
-                               static_cast<double>(m.queries);
-      const auto pctl = [&](const std::vector<double>& xs, double p) {
-        return xs.empty() ? std::string("-")
-                          : stats::format_double(stats::percentile(xs, p), 1);
-      };
-      // Upstream query count: for the bare-DoH rung every query is its own
-      // upstream query by definition.
-      const std::uint64_t upstream = std::string(rung) == "no-cache"
-                                         ? m.queries
-                                         : m.cache.upstream_queries;
-      const auto stale_age_p50 =
-          m.staleness_ms.empty()
-              ? std::string("-")
-              : stats::format_double(
-                    stats::percentile(m.staleness_ms, 50) / 1e3, 1);
-      table.add_row({scenario.name, rung, stats::format_double(avail, 1),
-                     stats::format_double(stale_pct, 1), stale_age_p50,
-                     pctl(m.resolution_ms, 50), pctl(m.resolution_ms, 99),
-                     std::to_string(upstream),
-                     std::to_string(m.cache.coalesced),
-                     std::to_string(m.hedge.hedges_issued)});
-      if (json_report != nullptr) {
-        const std::string key = scenario.name + "/" + rung;
-        json_report->set(key, "available",
-                         static_cast<std::int64_t>(m.available));
-        json_report->set(key, "availability_pct", avail);
-        json_report->set(key, "stale_answers",
-                         static_cast<std::int64_t>(m.stale_answers));
-        json_report->set(key, "stale_pct", stale_pct);
-        stats::Cdf staleness;
-        staleness.add_all(m.staleness_ms);
-        json_report->set(key, "staleness_age_ms", bench::cdf_json(staleness));
-        json_report->set(key, "p99_ms",
-                         m.resolution_ms.empty()
-                             ? 0.0
-                             : stats::percentile(m.resolution_ms, 99));
-        json_report->set(key, "upstream_queries",
-                         static_cast<std::int64_t>(upstream));
-        json_report->set(key, "coalesced",
-                         static_cast<std::int64_t>(m.cache.coalesced));
-        json_report->set(key, "stale_serves",
-                         static_cast<std::int64_t>(m.cache.stale_serves));
-        json_report->set(key, "negative_entries",
-                         static_cast<std::int64_t>(m.cache.negative_entries));
-        json_report->set(key, "hedges_issued",
-                         static_cast<std::int64_t>(m.hedge.hedges_issued));
-        json_report->set(key, "hedge_wins",
-                         static_cast<std::int64_t>(m.hedge.hedge_wins));
-        json_report->set(key, "hedge_wasted_wire_bytes",
-                         static_cast<std::int64_t>(
-                             m.hedge.wasted_wire_bytes));
-      }
-    }
-  }
-  return table.render();
+void columns(const RunMetrics& m, bench::Columns& c) {
+  c.fixed("avail%", "availability_pct", availability_pct(m), 1);
+  c.fixed("stale%", "stale_pct", bench::percent(m.stale_answers, m.queries),
+          1);
+  c.add("stale-age-p50(s)", "", 0.0,
+        m.staleness_ms.empty()
+            ? "-"
+            : stats::format_double(
+                  stats::percentile(m.staleness_ms, 50) / 1e3, 1));
+  c.percentile("p50(ms)", "", m.resolution_ms, 50);
+  c.percentile("p99(ms)", "p99_ms", m.resolution_ms, 99);
+  c.count("upstream", "upstream_queries", m.upstream_queries);
+  c.count("coalesced", "coalesced", m.cache.coalesced);
+  c.count("hedges", "hedges_issued", m.hedge.hedges_issued);
+  c.count("", "available", m.available);
+  c.count("", "stale_answers", m.stale_answers);
+  stats::Cdf staleness;
+  staleness.add_all(m.staleness_ms);
+  c.add("", "staleness_age_ms", bench::cdf_json(staleness), "");
+  c.count("", "stale_serves", m.cache.stale_serves);
+  c.count("", "negative_entries", m.cache.negative_entries);
+  c.count("", "hedge_wins", m.hedge.hedge_wins);
+  c.count("", "hedge_wasted_wire_bytes", m.hedge.wasted_wire_bytes);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const std::size_t queries = bench::flag(argc, argv, "queries", 300);
-  const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
-  const double rate_qps = 20.0;
-
-  std::printf("=== Availability matrix: outage scenarios x degradation "
-              "ladder ===\n");
-  std::printf("(%zu Zipf-popular queries, Poisson %.0f q/s, seed %llu, "
-              "TTL 4s; impairments strike 5s into the run; available = "
-              "NOERROR within 2s)\n\n",
-              queries, rate_qps, static_cast<unsigned long long>(seed));
-
-  obs::Registry registry;
-  bench::BenchReport json_report("availability_matrix");
-  json_report.params["queries"] = static_cast<std::int64_t>(queries);
-  json_report.params["seed"] = static_cast<std::int64_t>(seed);
-
-  const auto cells = run_grid(seed, queries, rate_qps, jobs, true);
-  for (const auto& cell : cells) registry.merge_from(cell.registry);
-  const std::string first = render_matrix(cells, &json_report);
-  // Second full grid run for the determinism check (no registry: metric
-  // collection must not influence results).
-  const std::string second =
-      render_matrix(run_grid(seed, queries, rate_qps, jobs, false));
-  std::fputs(first.c_str(), stdout);
-  std::printf("\ndeterminism check (two full grid runs, same seed): %s\n",
-              first == second ? "PASS - byte-identical" : "FAIL");
-
-  // The headline claim: each rung of the ladder is at least as available as
-  // the one below it in *every* scenario, strictly better through the cache
-  // rungs under the gated outage, and the full stack rides out the standard
-  // outage at >= 99%.
-  bool ladder_ok = true;
+/// The headline claim: each rung of the ladder is at least as available as
+/// the one below it in *every* scenario, strictly better through the cache
+/// rungs under the gated outage, and the full stack rides out the standard
+/// outage at >= 99%. A plain gate: it holds at any --queries.
+void gates(const bench::Grid<RunMetrics>& g, bench::Gates& out) {
   const auto grid = scenarios();
+  bench::Gate& ladder = out.emplace_back(
+      "ladder", "monotone per scenario, full stack >=99% through outage-6s");
   for (std::size_t s = 0; s < grid.size(); ++s) {
-    const double none = availability_pct(cells[s * kRungs.size() + 0].metrics);
-    const double cached =
-        availability_pct(cells[s * kRungs.size() + 1].metrics);
-    const double stale =
-        availability_pct(cells[s * kRungs.size() + 2].metrics);
-    const double hedged =
-        availability_pct(cells[s * kRungs.size() + 3].metrics);
+    const double none = availability_pct(g.at(s, 0));
+    const double cached = availability_pct(g.at(s, 1));
+    const double stale = availability_pct(g.at(s, 2));
+    const double hedged = availability_pct(g.at(s, 3));
     // Gated scenarios demand the strict ladder. Elsewhere the middle rungs
     // may jitter by a query (background refreshes shift the seeded retry
     // streams), so only the headline ordering is enforced: the full stack
@@ -414,18 +315,37 @@ int main(int argc, char** argv) {
             : hedged >= none && hedged >= cached && hedged >= stale;
     const bool top_ok = !grid[s].gated || hedged >= 99.0;
     if (!monotone || !top_ok) {
-      std::printf("ladder check FAIL: %s %.1f / %.1f / %.1f / %.1f\n",
-                  grid[s].name.c_str(), none, cached, stale, hedged);
-      ladder_ok = false;
+      ladder.fail(bench::strf("%s %.1f / %.1f / %.1f / %.1f",
+                              grid[s].name.c_str(), none, cached, stale,
+                              hedged));
     }
   }
-  std::printf("ladder check (monotone per scenario, full stack >=99%% "
-              "through outage-6s): %s\n",
-              ladder_ok ? "PASS" : "FAIL");
-  json_report.set("checks", "determinism",
-                  std::string(first == second ? "PASS" : "FAIL"));
-  json_report.set("checks", "ladder",
-                  std::string(ladder_ok ? "PASS" : "FAIL"));
-  bench::finish(argc, argv, json_report, nullptr, &registry);
-  return first == second && ladder_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const std::size_t queries = bench::flag(argc, argv, "queries", 300);
+  const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
+  const double rate_qps = 20.0;
+
+  std::printf("=== Availability matrix: outage scenarios x degradation "
+              "ladder ===\n");
+  std::printf("(%zu Zipf-popular queries, Poisson %.0f q/s, seed %llu, "
+              "TTL 4s; impairments strike 5s into the run; available = "
+              "NOERROR within 2s)\n\n",
+              queries, rate_qps, static_cast<unsigned long long>(seed));
+
+  const auto grid = scenarios();
+  return bench::run_matrix(
+      argc, argv, seed,
+      bench::Matrix<RunMetrics>{
+          "availability_matrix",
+          {{"queries", static_cast<std::int64_t>(queries)}},
+          bench::Axis::of("scenario", grid, &Scenario::name),
+          bench::Axis::of("rung", kRungs), columns, gates},
+      [&](auto row, auto col, auto cell_seed, auto* registry) {
+        return run(grid[row], kRungs[col], cell_seed, queries, rate_qps,
+                   registry);
+      });
 }

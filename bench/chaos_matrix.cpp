@@ -21,18 +21,14 @@
 //
 // Every random draw (arrivals, names, loss, faults, backoff jitter) comes
 // from seeded generators over virtual time, so the whole table is a pure
-// function of --seed: the harness runs the grid twice and verifies the two
-// renderings are byte-identical before printing.
-#include <algorithm>
-#include <array>
+// function of --seed; bench/matrix.hpp runs the grid twice and checks the
+// two renderings are byte-identical.
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "shard_runner.hpp"
+#include "matrix.hpp"
 #include "core/doh_client.hpp"
 #include "core/dot_client.hpp"
 #include "core/udp_client.hpp"
@@ -123,10 +119,7 @@ struct RunMetrics {
   std::vector<double> resolution_ms;
   core::RetryStats retry;
   std::uint64_t udp_final_timeouts = 0;
-  // Tier-side retry-budget accounting (retry-storm cells only).
-  std::uint64_t tier_retries_detected = 0;
-  std::uint64_t tier_shed_retry_budget = 0;
-  std::uint64_t tier_upstream_timeouts = 0;
+  resolver::TierStats tier;  ///< retry-storm cells only
 };
 
 /// One cell of the matrix: `transport` in {udp, dot, h1, h2}.
@@ -212,28 +205,26 @@ RunMetrics run(const Scenario& scenario, const std::string& transport,
   retry.query_timeout = simnet::seconds(2);
   retry.seed = seed ^ 0xbf58476d1ce4e5b9ULL;
 
-  std::unique_ptr<core::ResolverClient> stub;
-  core::DohClient* doh = nullptr;
-  core::DotClient* dot = nullptr;
-  core::UdpResolverClient* udp = nullptr;
+  std::unique_ptr<core::DohClient> doh;
+  std::unique_ptr<core::DotClient> dot;
+  std::unique_ptr<core::UdpResolverClient> udp;
+  core::ResolverClient* stub = nullptr;
   if (transport == "udp") {
     core::UdpClientConfig config;
     config.obs = obs;
     config.timeout = simnet::seconds(1);
     config.max_retries = 8;
-    auto c = std::make_unique<core::UdpResolverClient>(
+    udp = std::make_unique<core::UdpResolverClient>(
         client, simnet::Address{server.id(), 53}, config);
-    udp = c.get();
-    stub = std::move(c);
+    stub = udp.get();
   } else if (transport == "dot") {
     core::DotClientConfig config;
     config.obs = obs;
     config.server_name = "local.resolver";
     config.retry = retry;
-    auto c = std::make_unique<core::DotClient>(
+    dot = std::make_unique<core::DotClient>(
         client, simnet::Address{server.id(), 853}, config);
-    dot = c.get();
-    stub = std::move(c);
+    stub = dot.get();
   } else {
     core::DohClientConfig config;
     config.obs = obs;
@@ -242,10 +233,9 @@ RunMetrics run(const Scenario& scenario, const std::string& transport,
                                             : core::HttpVersion::kHttp2;
     config.h1_pipelining = true;
     config.retry = retry;
-    auto c = std::make_unique<core::DohClient>(
+    doh = std::make_unique<core::DohClient>(
         client, simnet::Address{server.id(), 443}, config);
-    doh = c.get();
-    stub = std::move(c);
+    stub = doh.get();
   }
 
   workload::UniqueNameGenerator names("example.com", seed ^ 77);
@@ -278,98 +268,73 @@ RunMetrics run(const Scenario& scenario, const std::string& transport,
   if (doh != nullptr) m.retry = doh->retry_stats();
   if (dot != nullptr) m.retry = dot->retry_stats();
   if (udp != nullptr) m.udp_final_timeouts = udp->timeouts();
-  if (tier != nullptr) {
-    m.tier_retries_detected = tier->stats().retries_detected;
-    m.tier_shed_retry_budget = tier->stats().shed_retry_budget;
-    m.tier_upstream_timeouts = tier->stats().upstream_timeouts;
-  }
+  if (tier != nullptr) m.tier = tier->stats();
   return m;
 }
 
-constexpr std::array<const char*, 4> kTransports = {"udp", "dot", "h1", "h2"};
+const std::vector<std::string> kTransports = {"udp", "dot", "h1", "h2"};
 
-/// One cell of the grid plus its private metrics registry (merged into the
-/// global registry in cell order, so the merged result is --jobs-invariant).
-// detlint: hot-slot
-struct alignas(64) Cell {
-  RunMetrics metrics;
-  obs::Registry registry;
-};
-
-/// Run the full scenario x transport grid, one shard per cell. Every cell
-/// builds an isolated simulation seeded only by (seed, scenario, transport),
-/// so cells parallelize without sharing any mutable state.
-std::vector<Cell> run_grid(std::uint64_t seed, std::size_t queries,
-                           double rate_qps, std::size_t jobs,
-                           bool with_registry) {
-  const auto grid = scenarios();
-  return bench::run_sharded<Cell>(
-      grid.size() * kTransports.size(), jobs, [&](std::size_t i) {
-        Cell cell;
-        cell.metrics = run(grid[i / kTransports.size()],
-                           kTransports[i % kTransports.size()], seed, queries,
-                           rate_qps, with_registry ? &cell.registry : nullptr);
-        return cell;
-      });
+void columns(const RunMetrics& m, bench::Columns& c) {
+  c.count("ok", "ok", m.ok);
+  c.count("rcode-fail", "rcode_fail", m.rcode_fail);
+  c.fixed("success%", "success_pct", bench::percent(m.ok, m.queries), 1);
+  c.percentile("med(ms)", "", m.resolution_ms, 50);
+  c.percentile("p95(ms)", "", m.resolution_ms, 95);
+  c.percentile("max(ms)", "", m.resolution_ms, 100);
+  c.add("", "resolution_ms", bench::box_json(m.resolution_ms), "");
+  c.count("retries", "retries", m.retry.retried_queries);
+  c.count("reconnects", "reconnects", m.retry.reconnects);
+  c.count("timeouts", "timeouts",
+          m.udp_final_timeouts + m.retry.query_timeouts);
+  c.count("exhausted", "budget_exhausted", m.retry.budget_exhausted);
+  c.count("", "tier_retries_detected", m.tier.retries_detected);
+  c.count("", "tier_shed_retry_budget", m.tier.shed_retry_budget);
+  c.count("", "tier_upstream_timeouts", m.tier.upstream_timeouts);
 }
 
-std::string render_matrix(const std::vector<Cell>& cells,
-                          bench::BenchReport* json_report = nullptr) {
-  stats::TextTable table;
-  table.add_row({"scenario", "transport", "ok", "rcode-fail", "success%",
-                 "med(ms)", "p95(ms)", "max(ms)", "retries", "reconnects",
-                 "timeouts", "exhausted"});
-  std::size_t cell_index = 0;
-  for (const auto& scenario : scenarios()) {
-    for (const char* transport : kTransports) {
-      const RunMetrics& m = cells[cell_index++].metrics;
+/// Both gates are plain: they hold at any --queries.
+void gates(const bench::Grid<RunMetrics>& g, bench::Gates& out) {
+  const auto grid = scenarios();
+  // The headline robustness claim: through a 2s resolver outage — or a 2s
+  // interface flap that comes back on a new address — the reconnecting
+  // connection-oriented clients still answer everything eventually, without
+  // blowing any per-query retry budget.
+  bench::Gate& recovery = out.emplace_back(
+      "recovery",
+      ">=99% success through restart-2s and link-flap, budget intact");
+  for (std::size_t s = 0; s < grid.size(); ++s) {
+    if (grid[s].restart_at == 0 && grid[s].flap_at == 0) continue;
+    for (std::size_t t = 1; t < kTransports.size(); ++t) {  // dot, h1, h2
+      const RunMetrics& m = g.at(s, t);
       const double pct =
-          m.queries == 0 ? 0.0
-                         : 100.0 * static_cast<double>(m.ok) /
-                               static_cast<double>(m.queries);
-      const std::uint64_t timeouts =
-          m.udp_final_timeouts + m.retry.query_timeouts;
-      // percentile() requires a non-empty sample; a cell with zero
-      // successful resolutions (e.g. --queries=0) has no latencies.
-      const auto pctl = [&](double p) {
-        return m.resolution_ms.empty()
-                   ? std::string("-")
-                   : stats::format_double(stats::percentile(m.resolution_ms, p),
-                                          1);
-      };
-      table.add_row(
-          {scenario.name, transport, std::to_string(m.ok),
-           std::to_string(m.rcode_fail), stats::format_double(pct, 1),
-           pctl(50), pctl(95), pctl(100),
-           std::to_string(m.retry.retried_queries),
-           std::to_string(m.retry.reconnects), std::to_string(timeouts),
-           std::to_string(m.retry.budget_exhausted)});
-      if (json_report != nullptr) {
-        const std::string key = scenario.name + "/" + transport;
-        json_report->set(key, "ok", static_cast<std::int64_t>(m.ok));
-        json_report->set(key, "rcode_fail",
-                         static_cast<std::int64_t>(m.rcode_fail));
-        json_report->set(key, "success_pct", pct);
-        json_report->set(key, "resolution_ms",
-                         bench::box_json(m.resolution_ms));
-        json_report->set(key, "retries", static_cast<std::int64_t>(
-                                             m.retry.retried_queries));
-        json_report->set(key, "reconnects",
-                         static_cast<std::int64_t>(m.retry.reconnects));
-        json_report->set(key, "timeouts",
-                         static_cast<std::int64_t>(timeouts));
-        json_report->set(key, "budget_exhausted",
-                         static_cast<std::int64_t>(m.retry.budget_exhausted));
-        json_report->set(key, "tier_retries_detected",
-                         static_cast<std::int64_t>(m.tier_retries_detected));
-        json_report->set(key, "tier_shed_retry_budget",
-                         static_cast<std::int64_t>(m.tier_shed_retry_budget));
-        json_report->set(key, "tier_upstream_timeouts",
-                         static_cast<std::int64_t>(m.tier_upstream_timeouts));
+          m.queries == 0 ? 100.0 : bench::percent(m.ok, m.queries);
+      if (pct < 99.0 || m.retry.budget_exhausted != 0) {
+        recovery.fail(bench::strf(
+            "%s/%s success=%.1f%% budget_exhausted=%llu",
+            grid[s].name.c_str(), kTransports[t].c_str(), pct,
+            static_cast<unsigned long long>(m.retry.budget_exhausted)));
       }
     }
   }
-  return table.render();
+
+  // The retry-storm claim, end to end: in every retry-storm cell the tier
+  // detected the client retransmissions/re-issues, and the drained budget
+  // actually shed some of them (summed across transports).
+  bench::Gate& storm = out.emplace_back(
+      "storm",
+      "tier detects retries on every transport, budget sheds the excess");
+  std::uint64_t storm_sheds = 0;
+  for (std::size_t s = 0; s < grid.size(); ++s) {
+    if (!grid[s].tier_storm) continue;
+    for (std::size_t t = 0; t < kTransports.size(); ++t) {
+      storm_sheds += g.at(s, t).tier.shed_retry_budget;
+      if (g.at(s, t).tier.retries_detected == 0) {
+        storm.fail(bench::strf("%s/%s detected no retries",
+                               grid[s].name.c_str(), kTransports[t].c_str()));
+      }
+    }
+  }
+  if (storm_sheds == 0) storm.pass = false;
 }
 
 }  // namespace
@@ -377,7 +342,6 @@ std::string render_matrix(const std::vector<Cell>& cells,
 int main(int argc, char** argv) {
   const std::size_t queries = bench::flag(argc, argv, "queries", 100);
   const std::uint64_t seed = bench::flag(argc, argv, "seed", 5);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
   const double rate_qps = 10.0;
 
   std::printf("=== Chaos matrix: fault scenarios x DNS transports ===\n");
@@ -386,83 +350,16 @@ int main(int argc, char** argv) {
               queries, rate_qps,
               static_cast<unsigned long long>(seed));
 
-  obs::Registry registry;
-  bench::BenchReport json_report("chaos_matrix");
-  json_report.params["queries"] = static_cast<std::int64_t>(queries);
-  json_report.params["seed"] = static_cast<std::int64_t>(seed);
-
-  const auto cells = run_grid(seed, queries, rate_qps, jobs, true);
-  for (const auto& cell : cells) registry.merge_from(cell.registry);
-  const std::string first = render_matrix(cells, &json_report);
-  // Second full grid run for the determinism check (no registry: metric
-  // collection must not influence results).
-  const std::string second =
-      render_matrix(run_grid(seed, queries, rate_qps, jobs, false));
-  std::fputs(first.c_str(), stdout);
-  std::printf("\ndeterminism check (two full grid runs, same seed): %s\n",
-              first == second ? "PASS - byte-identical" : "FAIL");
-
-  // The headline robustness claim: through a 2s resolver outage — or a 2s
-  // interface flap that comes back on a new address — the reconnecting
-  // connection-oriented clients still answer everything eventually, without
-  // blowing any per-query retry budget. The grid cells already hold these
-  // runs; index back into them.
-  bool recovered = true;
   const auto grid = scenarios();
-  for (std::size_t s = 0; s < grid.size(); ++s) {
-    const auto& scenario = grid[s];
-    if (scenario.restart_at == 0 && scenario.flap_at == 0) continue;
-    for (const char* transport : {"dot", "h1", "h2"}) {
-      const std::size_t t = static_cast<std::size_t>(
-          std::find(kTransports.begin(), kTransports.end(),
-                    std::string_view(transport)) -
-          kTransports.begin());
-      const RunMetrics& m = cells[s * kTransports.size() + t].metrics;
-      const double pct =
-          m.queries == 0 ? 100.0
-                         : 100.0 * static_cast<double>(m.ok) /
-                               static_cast<double>(m.queries);
-      if (pct < 99.0 || m.retry.budget_exhausted != 0) {
-        std::printf("recovery check FAIL: %s/%s success=%.1f%% "
-                    "budget_exhausted=%llu\n",
-                    scenario.name.c_str(), transport, pct,
-                    static_cast<unsigned long long>(
-                        m.retry.budget_exhausted));
-        recovered = false;
-      }
-    }
-  }
-  std::printf("recovery check (>=99%% success through restart-2s and "
-              "link-flap, budget intact): %s\n",
-              recovered ? "PASS" : "FAIL");
-
-  // The retry-storm claim, end to end: in every retry-storm cell the tier
-  // detected the client retransmissions/re-issues, and the drained budget
-  // actually shed some of them (summed across transports).
-  bool storm_ok = true;
-  std::uint64_t storm_sheds = 0;
-  for (std::size_t s = 0; s < grid.size(); ++s) {
-    if (!grid[s].tier_storm) continue;
-    for (std::size_t t = 0; t < kTransports.size(); ++t) {
-      const RunMetrics& m = cells[s * kTransports.size() + t].metrics;
-      storm_sheds += m.tier_shed_retry_budget;
-      if (m.tier_retries_detected == 0) {
-        std::printf("storm check FAIL: %s/%s detected no retries\n",
-                    grid[s].name.c_str(), kTransports[t]);
-        storm_ok = false;
-      }
-    }
-  }
-  storm_ok = storm_ok && storm_sheds > 0;
-  std::printf("storm check (tier detects retries on every transport, "
-              "budget sheds the excess): %s\n",
-              storm_ok ? "PASS" : "FAIL");
-  json_report.set("checks", "determinism",
-                  std::string(first == second ? "PASS" : "FAIL"));
-  json_report.set("checks", "recovery",
-                  std::string(recovered ? "PASS" : "FAIL"));
-  json_report.set("checks", "storm",
-                  std::string(storm_ok ? "PASS" : "FAIL"));
-  bench::finish(argc, argv, json_report, nullptr, &registry);
-  return first == second && recovered && storm_ok ? 0 : 1;
+  return bench::run_matrix(
+      argc, argv, seed,
+      bench::Matrix<RunMetrics>{
+          "chaos_matrix",
+          {{"queries", static_cast<std::int64_t>(queries)}},
+          bench::Axis::of("scenario", grid, &Scenario::name),
+          bench::Axis::of("transport", kTransports), columns, gates},
+      [&](auto row, auto col, auto cell_seed, auto* registry) {
+        return run(grid[row], kTransports[col], cell_seed, queries, rate_qps,
+                   registry);
+      });
 }

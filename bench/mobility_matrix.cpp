@@ -15,20 +15,19 @@
 //
 // Reported per cell: availability, resolution-time percentiles, and the
 // amortization ledger — migrations, resumed vs full handshakes, handshake
-// bytes/RTTs paid, racing bytes wasted. Self-gating (skipped under
-// --no-gate, determinism always checked): the policy ladder must be
-// monotone in availability at every churn rate, resumption must pay
+// bytes/RTTs paid, racing bytes wasted. Self-gating (full-horizon gates,
+// waived by --no-gate; determinism always checked): the policy ladder must
+// be monotone in availability at every churn rate, resumption must pay
 // strictly fewer handshake bytes than naive under churn, DoQ migration must
 // survive re-addressing with zero new handshakes, and the whole table must
 // be a pure function of --seed (two grid runs, byte-identical).
-#include <array>
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "shard_runner.hpp"
+#include "matrix.hpp"
 #include "core/doh_client.hpp"
 #include "core/doq_client.hpp"
 #include "core/dot_client.hpp"
@@ -57,20 +56,17 @@ std::vector<ChurnRate> churn_rates() {
           {"2s", simnet::seconds(2)}};
 }
 
-struct Rung {
-  const char* transport;
-  const char* policy;
-};
-
-constexpr std::array<Rung, 9> kRungs = {{{"udp", "naive"},
-                                         {"dot", "naive"},
-                                         {"dot", "resume"},
-                                         {"dot", "race"},
-                                         {"doh", "naive"},
-                                         {"doh", "resume"},
-                                         {"doh", "race"},
-                                         {"doq", "naive"},
-                                         {"doq", "migrate"}}};
+/// The columns: one {transport, policy} rung each.
+const bench::Axis kRungs{{"transport", "policy"},
+                         {{"udp", "naive"},
+                          {"dot", "naive"},
+                          {"dot", "resume"},
+                          {"dot", "race"},
+                          {"doh", "naive"},
+                          {"doh", "resume"},
+                          {"doh", "race"},
+                          {"doq", "naive"},
+                          {"doq", "migrate"}}};
 
 struct RunMetrics {
   std::size_t queries = 0;
@@ -82,8 +78,8 @@ struct RunMetrics {
   std::size_t churn_events = 0;
 };
 
-RunMetrics run(const ChurnRate& churn, const Rung& rung, std::uint64_t seed,
-               std::size_t queries, double rate_qps,
+RunMetrics run(const ChurnRate& churn, const std::vector<std::string>& rung,
+               std::uint64_t seed, std::size_t queries, double rate_qps,
                obs::Registry* registry = nullptr) {
   simnet::EventLoop loop;
   simnet::Network net(loop, seed);
@@ -117,8 +113,8 @@ RunMetrics run(const ChurnRate& churn, const Rung& rung, std::uint64_t seed,
   engine_config.seed = seed ^ 0x9e3779b97f4a7c15ULL;
   resolver::Engine engine(loop, engine_config);
 
-  const std::string transport = rung.transport;
-  const std::string policy = rung.policy;
+  const std::string& transport = rung[0];
+  const std::string& policy = rung[1];
   const auto chain = tlssim::CertificateChain::generic("local.resolver");
 
   std::unique_ptr<resolver::UdpServer> udp_server;
@@ -162,20 +158,19 @@ RunMetrics run(const ChurnRate& churn, const Rung& rung, std::uint64_t seed,
   core::MigrationConfig migration;
   migration.enabled = policy == "race" || policy == "migrate";
 
-  std::unique_ptr<core::ResolverClient> stub;
-  core::UdpResolverClient* udp = nullptr;
-  core::DotClient* dot = nullptr;
-  core::DohClient* doh = nullptr;
-  core::DoqClient* doq = nullptr;
+  std::unique_ptr<core::UdpResolverClient> udp;
+  std::unique_ptr<core::DotClient> dot;
+  std::unique_ptr<core::DohClient> doh;
+  std::unique_ptr<core::DoqClient> doq;
+  core::ResolverClient* stub = nullptr;
   if (transport == "udp") {
     core::UdpClientConfig config;
     config.obs = obs;
     config.timeout = simnet::seconds(1);
     config.max_retries = 8;
-    auto c = std::make_unique<core::UdpResolverClient>(
+    udp = std::make_unique<core::UdpResolverClient>(
         client, simnet::Address{server.id(), 53}, config);
-    udp = c.get();
-    stub = std::move(c);
+    stub = udp.get();
   } else if (transport == "dot") {
     core::DotClientConfig config;
     config.obs = obs;
@@ -183,10 +178,9 @@ RunMetrics run(const ChurnRate& churn, const Rung& rung, std::uint64_t seed,
     config.retry = retry;
     config.migration = migration;
     if (with_cache) config.session_cache = &cache;
-    auto c = std::make_unique<core::DotClient>(
+    dot = std::make_unique<core::DotClient>(
         client, simnet::Address{server.id(), 853}, config);
-    dot = c.get();
-    stub = std::move(c);
+    stub = dot.get();
   } else if (transport == "doh") {
     core::DohClientConfig config;
     config.obs = obs;
@@ -195,20 +189,18 @@ RunMetrics run(const ChurnRate& churn, const Rung& rung, std::uint64_t seed,
     config.retry = retry;
     config.migration = migration;
     if (with_cache) config.session_cache = &cache;
-    auto c = std::make_unique<core::DohClient>(
+    doh = std::make_unique<core::DohClient>(
         client, simnet::Address{server.id(), 443}, config);
-    doh = c.get();
-    stub = std::move(c);
+    stub = doh.get();
   } else {
     core::DoqClientConfig config;
     config.obs = obs;
     config.server_name = "local.resolver";
     config.retry = retry;
     config.migration = migration;
-    auto c = std::make_unique<core::DoqClient>(
+    doq = std::make_unique<core::DoqClient>(
         client, simnet::Address{server.id(), 8853}, config);
-    doq = c.get();
-    stub = std::move(c);
+    stub = doq.get();
   }
 
   workload::UniqueNameGenerator names("example.com", seed ^ 77);
@@ -236,115 +228,112 @@ RunMetrics run(const ChurnRate& churn, const Rung& rung, std::uint64_t seed,
     }
   }
   if (udp != nullptr) m.udp_final_timeouts = udp->timeouts();
-  if (dot != nullptr) {
-    m.retry = dot->retry_stats();
-    m.migration = dot->migration_stats();
-  }
-  if (doh != nullptr) {
-    m.retry = doh->retry_stats();
-    m.migration = doh->migration_stats();
-  }
-  if (doq != nullptr) {
-    m.retry = doq->retry_stats();
-    m.migration = doq->migration_stats();
-  }
+  const auto ledgers = [&m](const auto* c) {
+    if (c == nullptr) return;
+    m.retry = c->retry_stats();
+    m.migration = c->migration_stats();
+  };
+  ledgers(dot.get());
+  ledgers(doh.get());
+  ledgers(doq.get());
   return m;
 }
 
-/// One cell of the grid plus its private metrics registry (merged into the
-/// global registry in cell order, so the merged result is --jobs-invariant).
-// detlint: hot-slot
-struct alignas(64) Cell {
-  RunMetrics metrics;
-  obs::Registry registry;
-};
-
-std::vector<Cell> run_grid(std::uint64_t seed, std::size_t queries,
-                           double rate_qps, std::size_t jobs,
-                           bool with_registry) {
-  const auto churns = churn_rates();
-  return bench::run_sharded<Cell>(
-      churns.size() * kRungs.size(), jobs, [&](std::size_t i) {
-        Cell cell;
-        cell.metrics =
-            run(churns[i / kRungs.size()], kRungs[i % kRungs.size()], seed,
-                queries, rate_qps, with_registry ? &cell.registry : nullptr);
-        return cell;
-      });
+void columns(const RunMetrics& m, bench::Columns& c) {
+  c.fixed("avail%", "avail_pct", bench::percent(m.ok, m.queries), 1);
+  c.percentile("p50(ms)", "", m.resolution_ms, 50);
+  c.percentile("p99(ms)", "", m.resolution_ms, 99);
+  c.count("migr", "migrations", m.migration.migrations);
+  c.count("resumed", "resumed_handshakes", m.migration.resumed_handshakes);
+  c.count("full-hs", "full_handshakes", m.migration.full_handshakes);
+  c.count("hs-bytes", "handshake_bytes", m.migration.handshake_bytes);
+  c.count("hs-rtts", "handshake_rtts", m.migration.handshake_rtts);
+  c.count("wasted", "migration_wasted_bytes",
+          m.migration.migration_wasted_bytes);
+  c.count("retries", "retries", m.retry.retried_queries);
+  c.count("", "ok", m.ok);
+  c.add("", "resolution_ms", bench::box_json(m.resolution_ms), "");
+  c.count("", "churn_events", m.churn_events);
+  c.count("", "reconnects", m.retry.reconnects);
+  c.count("", "timeouts", m.udp_final_timeouts + m.retry.query_timeouts);
 }
 
-std::string render_matrix(const std::vector<Cell>& cells,
-                          bench::BenchReport* json_report = nullptr) {
-  stats::TextTable table;
-  table.add_row({"churn", "transport", "policy", "avail%", "p50(ms)",
-                 "p99(ms)", "migr", "resumed", "full-hs", "hs-bytes",
-                 "hs-rtts", "wasted", "retries"});
-  std::size_t cell_index = 0;
-  for (const auto& churn : churn_rates()) {
-    for (const Rung& rung : kRungs) {
-      const RunMetrics& m = cells[cell_index++].metrics;
-      const double pct =
-          m.queries == 0 ? 0.0
-                         : 100.0 * static_cast<double>(m.ok) /
-                               static_cast<double>(m.queries);
-      const auto pctl = [&](double p) {
-        return m.resolution_ms.empty()
-                   ? std::string("-")
-                   : stats::format_double(
-                         stats::percentile(m.resolution_ms, p), 1);
-      };
-      table.add_row({churn.name, rung.transport, rung.policy,
-                     stats::format_double(pct, 1), pctl(50), pctl(99),
-                     std::to_string(m.migration.migrations),
-                     std::to_string(m.migration.resumed_handshakes),
-                     std::to_string(m.migration.full_handshakes),
-                     std::to_string(m.migration.handshake_bytes),
-                     std::to_string(m.migration.handshake_rtts),
-                     std::to_string(m.migration.migration_wasted_bytes),
-                     std::to_string(m.retry.retried_queries)});
-      if (json_report != nullptr) {
-        const std::string key = churn.name + "/" + rung.transport + "/" +
-                                rung.policy;
-        json_report->set(key, "ok", static_cast<std::int64_t>(m.ok));
-        json_report->set(key, "avail_pct", pct);
-        json_report->set(key, "resolution_ms",
-                         bench::box_json(m.resolution_ms));
-        json_report->set(key, "churn_events",
-                         static_cast<std::int64_t>(m.churn_events));
-        json_report->set(key, "migrations",
-                         static_cast<std::int64_t>(m.migration.migrations));
-        json_report->set(
-            key, "migration_wasted_bytes",
-            static_cast<std::int64_t>(m.migration.migration_wasted_bytes));
-        json_report->set(
-            key, "resumed_handshakes",
-            static_cast<std::int64_t>(m.migration.resumed_handshakes));
-        json_report->set(
-            key, "full_handshakes",
-            static_cast<std::int64_t>(m.migration.full_handshakes));
-        json_report->set(
-            key, "handshake_bytes",
-            static_cast<std::int64_t>(m.migration.handshake_bytes));
-        json_report->set(
-            key, "handshake_rtts",
-            static_cast<std::int64_t>(m.migration.handshake_rtts));
-        json_report->set(key, "retries", static_cast<std::int64_t>(
-                                             m.retry.retried_queries));
-        json_report->set(key, "reconnects",
-                         static_cast<std::int64_t>(m.retry.reconnects));
-        json_report->set(
-            key, "timeouts",
-            static_cast<std::int64_t>(m.udp_final_timeouts +
-                                      m.retry.query_timeouts));
+/// Every gate is full-horizon: a reduced workload (e.g. TSan CI) shrinks the
+/// horizon below the slow churn intervals, so the churn-dependent gates
+/// cannot hold.
+void gates(const bench::Grid<RunMetrics>& g, bench::Gates& out) {
+  const auto churns = churn_rates();
+  // Rung indices into kRungs.
+  constexpr std::size_t kDotNaive = 1, kDotResume = 2, kDotRace = 3;
+  constexpr std::size_t kDohNaive = 4, kDohResume = 5, kDohRace = 6;
+  constexpr std::size_t kDoqNaive = 7, kDoqMigrate = 8;
+
+  // At every churn rate the policy ladder is monotone in availability (ties
+  // allowed) — more machinery never answers less.
+  bench::Gate& ladder = out.emplace_back(
+      "ladder",
+      "availability monotone up the policy ladder at every churn rate",
+      bench::kFullHorizon);
+  for (std::size_t c = 0; c < churns.size(); ++c) {
+    for (const auto& [lo, hi] :
+         {std::pair{kDotNaive, kDotResume}, {kDotResume, kDotRace},
+          {kDohNaive, kDohResume}, {kDohResume, kDohRace},
+          {kDoqNaive, kDoqMigrate}}) {
+      if (g.at(c, lo).ok <= g.at(c, hi).ok) continue;
+      const auto& low = kRungs.labels[lo];
+      const auto& high = kRungs.labels[hi];
+      ladder.fail(bench::strf(
+          "churn=%s %s/%s ok=%zu > %s/%s ok=%zu", churns[c].name.c_str(),
+          low[0].c_str(), low[1].c_str(), g.at(c, lo).ok, high[0].c_str(),
+          high[1].c_str(), g.at(c, hi).ok));
+    }
+  }
+
+  // Under churn, session resumption pays strictly fewer handshake bytes
+  // (and no more handshake RTTs) than the full-handshake rung, and actually
+  // resumed at least once.
+  bench::Gate& resumption = out.emplace_back(
+      "resumption",
+      "under churn: strictly fewer handshake bytes than naive, no extra RTTs",
+      bench::kFullHorizon);
+  for (std::size_t c = 0; c < churns.size(); ++c) {
+    if (churns[c].interval == 0) continue;
+    for (const auto& [naive, resume] :
+         {std::pair{kDotNaive, kDotResume}, {kDohNaive, kDohResume}}) {
+      const auto& n = g.at(c, naive).migration;
+      const auto& r = g.at(c, resume).migration;
+      if (r.resumed_handshakes == 0 || r.handshake_bytes >= n.handshake_bytes ||
+          r.handshake_rtts > n.handshake_rtts) {
+        resumption.fail(bench::strf(
+            "churn=%s %s resumed=%llu bytes=%llu vs naive bytes=%llu "
+            "rtts=%llu vs %llu",
+            churns[c].name.c_str(), kRungs.labels[resume][0].c_str(),
+            static_cast<unsigned long long>(r.resumed_handshakes),
+            static_cast<unsigned long long>(r.handshake_bytes),
+            static_cast<unsigned long long>(n.handshake_bytes),
+            static_cast<unsigned long long>(r.handshake_rtts),
+            static_cast<unsigned long long>(n.handshake_rtts)));
       }
     }
   }
-  return table.render();
-}
 
-const RunMetrics& cell_at(const std::vector<Cell>& cells, std::size_t churn,
-                          std::size_t rung) {
-  return cells[churn * kRungs.size() + rung].metrics;
+  // Real QUIC migration: under churn the DoQ connection survives every
+  // re-addressing — exactly the one original handshake, and at least one
+  // validated path migration.
+  bench::Gate& doq = out.emplace_back(
+      "doq_migration",
+      "connection survives re-addressing with zero new handshakes",
+      bench::kFullHorizon);
+  for (std::size_t c = 0; c < churns.size(); ++c) {
+    if (churns[c].interval == 0) continue;
+    const auto& m = g.at(c, kDoqMigrate).migration;
+    if (m.full_handshakes != 1 || m.migrations == 0) {
+      doq.fail(bench::strf("churn=%s full_handshakes=%llu migrations=%llu",
+                           churns[c].name.c_str(),
+                           static_cast<unsigned long long>(m.full_handshakes),
+                           static_cast<unsigned long long>(m.migrations)));
+    }
+  }
 }
 
 }  // namespace
@@ -352,10 +341,6 @@ const RunMetrics& cell_at(const std::vector<Cell>& cells, std::size_t churn,
 int main(int argc, char** argv) {
   const std::size_t queries = bench::flag(argc, argv, "queries", 600);
   const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
-  // --no-gate: reduced workloads (e.g. TSan CI) shrink the horizon below
-  // the slow churn intervals, so the churn-dependent gates can't hold.
-  const bool no_gate = bench::flag_set(argc, argv, "no-gate");
   const double rate_qps = 10.0;
 
   std::printf("=== Mobility matrix: network churn x transport x recovery "
@@ -364,110 +349,16 @@ int main(int argc, char** argv) {
               "= silent NAT rebind + Wi-Fi<->LTE profile swap)\n\n",
               queries, rate_qps, static_cast<unsigned long long>(seed));
 
-  obs::Registry registry;
-  bench::BenchReport json_report("mobility_matrix");
-  json_report.params["queries"] = static_cast<std::int64_t>(queries);
-  json_report.params["seed"] = static_cast<std::int64_t>(seed);
-
-  const auto cells = run_grid(seed, queries, rate_qps, jobs, true);
-  for (const auto& cell : cells) registry.merge_from(cell.registry);
-  const std::string first = render_matrix(cells, &json_report);
-  const std::string second =
-      render_matrix(run_grid(seed, queries, rate_qps, jobs, false));
-  std::fputs(first.c_str(), stdout);
-  std::printf("\ndeterminism check (two full grid runs, same seed): %s\n",
-              first == second ? "PASS - byte-identical" : "FAIL");
-
   const auto churns = churn_rates();
-  // Rung indices into kRungs.
-  constexpr std::size_t kDotNaive = 1, kDotResume = 2, kDotRace = 3;
-  constexpr std::size_t kDohNaive = 4, kDohResume = 5, kDohRace = 6;
-  constexpr std::size_t kDoqNaive = 7, kDoqMigrate = 8;
-
-  // Gate 1: at every churn rate the policy ladder is monotone in
-  // availability (ties allowed) — more machinery never answers less.
-  bool ladder_ok = true;
-  for (std::size_t c = 0; c < churns.size(); ++c) {
-    const auto check = [&](std::size_t lo, std::size_t hi) {
-      if (cell_at(cells, c, lo).ok > cell_at(cells, c, hi).ok) {
-        std::printf("ladder check FAIL: churn=%s %s/%s ok=%zu > %s/%s "
-                    "ok=%zu\n",
-                    churns[c].name.c_str(), kRungs[lo].transport,
-                    kRungs[lo].policy, cell_at(cells, c, lo).ok,
-                    kRungs[hi].transport, kRungs[hi].policy,
-                    cell_at(cells, c, hi).ok);
-        ladder_ok = false;
-      }
-    };
-    check(kDotNaive, kDotResume);
-    check(kDotResume, kDotRace);
-    check(kDohNaive, kDohResume);
-    check(kDohResume, kDohRace);
-    check(kDoqNaive, kDoqMigrate);
-  }
-  std::printf("ladder check (availability monotone up the policy ladder at "
-              "every churn rate): %s\n",
-              ladder_ok ? "PASS" : "FAIL");
-
-  // Gate 2: under churn, session resumption pays strictly fewer handshake
-  // bytes (and no more handshake RTTs) than the full-handshake rung, and
-  // actually resumed at least once.
-  bool resume_ok = true;
-  for (std::size_t c = 0; c < churns.size(); ++c) {
-    if (churns[c].interval == 0) continue;
-    for (const auto& [naive, resume] :
-         {std::pair{kDotNaive, kDotResume}, {kDohNaive, kDohResume}}) {
-      const auto& n = cell_at(cells, c, naive).migration;
-      const auto& r = cell_at(cells, c, resume).migration;
-      if (r.resumed_handshakes == 0 || r.handshake_bytes >= n.handshake_bytes ||
-          r.handshake_rtts > n.handshake_rtts) {
-        std::printf("resumption check FAIL: churn=%s %s resumed=%llu "
-                    "bytes=%llu vs naive bytes=%llu rtts=%llu vs %llu\n",
-                    churns[c].name.c_str(), kRungs[resume].transport,
-                    static_cast<unsigned long long>(r.resumed_handshakes),
-                    static_cast<unsigned long long>(r.handshake_bytes),
-                    static_cast<unsigned long long>(n.handshake_bytes),
-                    static_cast<unsigned long long>(r.handshake_rtts),
-                    static_cast<unsigned long long>(n.handshake_rtts));
-        resume_ok = false;
-      }
-    }
-  }
-  std::printf("resumption check (under churn: strictly fewer handshake bytes "
-              "than naive, no extra RTTs): %s\n",
-              resume_ok ? "PASS" : "FAIL");
-
-  // Gate 3: real QUIC migration — under churn the DoQ connection survives
-  // every re-addressing: exactly the one original handshake, and at least
-  // one validated path migration.
-  bool doq_ok = true;
-  for (std::size_t c = 0; c < churns.size(); ++c) {
-    if (churns[c].interval == 0) continue;
-    const auto& m = cell_at(cells, c, kDoqMigrate).migration;
-    if (m.full_handshakes != 1 || m.migrations == 0) {
-      std::printf("doq migration check FAIL: churn=%s full_handshakes=%llu "
-                  "migrations=%llu\n",
-                  churns[c].name.c_str(),
-                  static_cast<unsigned long long>(m.full_handshakes),
-                  static_cast<unsigned long long>(m.migrations));
-      doq_ok = false;
-    }
-  }
-  std::printf("doq migration check (connection survives re-addressing with "
-              "zero new handshakes): %s\n",
-              doq_ok ? "PASS" : "FAIL");
-
-  json_report.set("checks", "determinism",
-                  std::string(first == second ? "PASS" : "FAIL"));
-  json_report.set("checks", "ladder", std::string(ladder_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "resumption",
-                  std::string(resume_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "doq_migration",
-                  std::string(doq_ok ? "PASS" : "FAIL"));
-  bench::finish(argc, argv, json_report, nullptr, &registry);
-  if (no_gate) {
-    std::printf("(--no-gate: churn gates reported but not enforced)\n");
-  }
-  const bool gates_ok = ladder_ok && resume_ok && doq_ok;
-  return first == second && (no_gate || gates_ok) ? 0 : 1;
+  return bench::run_matrix(
+      argc, argv, seed,
+      bench::Matrix<RunMetrics>{
+          "mobility_matrix",
+          {{"queries", static_cast<std::int64_t>(queries)}},
+          bench::Axis::of("churn", churns, &ChurnRate::name), kRungs, columns,
+          gates},
+      [&](auto row, auto col, auto cell_seed, auto* registry) {
+        return run(churns[row], kRungs.labels[col], cell_seed, queries,
+                   rate_qps, registry);
+      });
 }

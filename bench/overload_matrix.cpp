@@ -22,7 +22,7 @@
 // number. Shed answers are REFUSED, which clients treat as terminal (no
 // retry), so shedding *reduces* RAF; that interaction is the point.
 //
-// Self-gates (skipped under --no-gate, determinism always checked):
+// Self-gates (full-horizon, waived by --no-gate; determinism always checked):
 //   retention   full@2x keeps >=80% of full@1x absolute goodput
 //   collapse    none@2x goodput%  <= half of full@2x goodput%
 //   raf         none@2x amplifies (RAF >= 1.5); full@2x does not (<= 1.2)
@@ -32,16 +32,16 @@
 //
 // Every draw (arrivals, Zipf ranks, client picks, backoff jitter) comes
 // from seeded generators over virtual time: the grid is a pure function of
-// --seed. The harness runs the grid twice and compares renderings, and one
-// shard per cell merges by index so --jobs=N output is byte-identical.
+// --seed. bench/matrix.hpp runs the grid twice and compares renderings, and
+// one shard per cell merges by index so --jobs=N output is byte-identical.
 #include <array>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "shard_runner.hpp"
+#include "matrix.hpp"
 #include "core/doh_client.hpp"
 #include "core/udp_client.hpp"
 #include "resolver/doh_server.hpp"
@@ -132,19 +132,11 @@ struct RunMetrics {
   std::size_t doh_peak_sessions = 0;
   std::size_t doh_memory_bytes = 0;
   std::uint64_t doh_reconnects = 0;
-  // hotspot cells: goodput of the 23 clients that are not the hot tenant.
-  std::size_t nonhot_offered = 0;
-  std::size_t nonhot_good = 0;
-  // herd cells: queries first offered >= 1s after the front-ends recovered.
-  std::size_t window_offered = 0;
-  std::size_t window_good = 0;
+  /// Herd cells: goodput% of queries first offered >= 1s after the
+  /// front-ends recovered. Hotspot cells: goodput% of the 23 clients that
+  /// are not the hot tenant.
+  std::optional<double> aux_pct;
 };
-
-double pct(std::size_t part, std::size_t whole) {
-  return whole == 0 ? 0.0
-                    : 100.0 * static_cast<double>(part) /
-                          static_cast<double>(whole);
-}
 
 double raf(const RunMetrics& m) {
   return m.offered == 0
@@ -255,6 +247,7 @@ RunMetrics run(const Scenario& scenario, const std::string& rung,
 
   RunMetrics m;
   m.offered = events.size();
+  std::size_t aux_offered = 0, aux_good = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const auto& ev = events[i];
     const auto& r = stubs[ev.client]->result(ids[i]);
@@ -263,14 +256,13 @@ RunMetrics run(const Scenario& scenario, const std::string& rung,
                       r.response.flags.rcode == dns::Rcode::kNoError &&
                       r.resolution_time() <= kDeadline;
     if (good) ++m.good;
-    if (ev.client != 0) {
-      ++m.nonhot_offered;
-      if (good) ++m.nonhot_good;
+    if (scenario.herd ? ev.at >= window_start : ev.client != 0) {
+      ++aux_offered;
+      if (good) ++aux_good;
     }
-    if (scenario.herd && ev.at >= window_start) {
-      ++m.window_offered;
-      if (good) ++m.window_good;
-    }
+  }
+  if (scenario.herd || scenario.hot_share > 0.0) {
+    m.aux_pct = bench::percent(aux_good, aux_offered);
   }
   for (const auto& u : udp_clients) m.udp_retransmissions += u->retransmissions();
   for (const auto& d : doh_clients) {
@@ -283,113 +275,78 @@ RunMetrics run(const Scenario& scenario, const std::string& rung,
   return m;
 }
 
-// detlint: hot-slot
-struct alignas(64) Cell {
-  RunMetrics metrics;
-  obs::Registry registry;
-};
-
-std::vector<Cell> run_grid(std::uint64_t seed, std::size_t duration_sec,
-                           std::size_t jobs, bool with_registry) {
-  const auto grid = scenarios();
-  return bench::run_sharded<Cell>(
-      grid.size() * kRungs.size(), jobs, [&](std::size_t i) {
-        Cell cell;
-        cell.metrics =
-            run(grid[i / kRungs.size()], kRungs[i % kRungs.size()], seed,
-                duration_sec, with_registry ? &cell.registry : nullptr);
-        return cell;
-      });
+void columns(const RunMetrics& m, bench::Columns& c) {
+  c.count("offered", "offered", m.offered);
+  c.fixed("good%", "goodput_pct", bench::percent(m.good, m.offered), 1);
+  c.percentile("p50(ms)", "p50_ms", m.resolution_ms, 50);
+  c.percentile("p99(ms)", "p99_ms", m.resolution_ms, 99);
+  c.fixed("shed%", "shed_pct", bench::percent(m.tier.sheds(), m.tier.requests),
+          1);
+  c.fixed("raf", "raf", raf(m), 2);
+  c.fixed("hit%", "cache_hit_pct",
+          bench::percent(m.tier.cache_hits,
+                         m.tier.cache_hits + m.tier.cache_misses),
+          1);
+  c.count("conns", "doh_peak_sessions", m.doh_peak_sessions);
+  c.add("mem(KB)", "doh_memory_bytes",
+        static_cast<std::int64_t>(m.doh_memory_bytes),
+        std::to_string(m.doh_memory_bytes / 1024));
+  if (m.aux_pct) {
+    c.fixed("aux%", "aux_pct", *m.aux_pct, 1);
+  } else {
+    c.add("aux%", "aux_pct", 0.0, "-");
+  }
+  c.count("", "good", m.good);
+  c.count("", "udp_retransmissions", m.udp_retransmissions);
+  c.count("", "doh_reissues", m.doh_reissues);
+  c.count("", "doh_reconnects", m.doh_reconnects);
+  c.count("", "coalesced", m.tier.coalesced);
+  c.count("", "retries_detected", m.tier.retries_detected);
+  dns::JsonObject shed;
+  shed["queue_full"] = static_cast<std::int64_t>(m.tier.shed_queue_full);
+  shed["deadline"] = static_cast<std::int64_t>(m.tier.shed_deadline);
+  shed["admission"] = static_cast<std::int64_t>(m.tier.shed_admission);
+  shed["fairness"] = static_cast<std::int64_t>(m.tier.shed_fairness);
+  shed["retry_budget"] = static_cast<std::int64_t>(m.tier.shed_retry_budget);
+  c.add("", "shed", dns::JsonValue(std::move(shed)), "");
+  c.count("", "queue_peak", m.tier.queue_peak);
 }
 
-std::string render_matrix(const std::vector<Cell>& cells,
-                          bench::BenchReport* json_report = nullptr) {
-  stats::TextTable table;
-  table.add_row({"scenario", "rung", "offered", "good%", "p50(ms)", "p99(ms)",
-                 "shed%", "raf", "hit%", "conns", "mem(KB)", "aux%"});
-  std::size_t cell_index = 0;
-  for (const auto& scenario : scenarios()) {
-    for (const char* rung : kRungs) {
-      const RunMetrics& m = cells[cell_index++].metrics;
-      const double good_pct = pct(m.good, m.offered);
-      const double shed_pct =
-          pct(static_cast<std::size_t>(m.tier.sheds()),
-              static_cast<std::size_t>(m.tier.requests));
-      const double hit_pct =
-          pct(static_cast<std::size_t>(m.tier.cache_hits),
-              static_cast<std::size_t>(m.tier.cache_hits +
-                                       m.tier.cache_misses));
-      const auto pctl = [&](double p) {
-        return m.resolution_ms.empty()
-                   ? std::string("-")
-                   : stats::format_double(
-                         stats::percentile(m.resolution_ms, p), 1);
-      };
-      // aux%: post-recovery goodput for herd rows, non-hot-client goodput
-      // for hotspot rows (the two scenario-specific gate inputs).
-      std::string aux = "-";
-      double aux_pct = 0.0;
-      if (scenario.herd) {
-        aux_pct = pct(m.window_good, m.window_offered);
-        aux = stats::format_double(aux_pct, 1);
-      } else if (scenario.hot_share > 0.0) {
-        aux_pct = pct(m.nonhot_good, m.nonhot_offered);
-        aux = stats::format_double(aux_pct, 1);
-      }
-      table.add_row({scenario.name, rung, std::to_string(m.offered),
-                     stats::format_double(good_pct, 1), pctl(50), pctl(99),
-                     stats::format_double(shed_pct, 1),
-                     stats::format_double(raf(m), 2),
-                     stats::format_double(hit_pct, 1),
-                     std::to_string(m.doh_peak_sessions),
-                     std::to_string(m.doh_memory_bytes / 1024), aux});
-      if (json_report != nullptr) {
-        const std::string key = scenario.name + "/" + rung;
-        json_report->set(key, "offered",
-                         static_cast<std::int64_t>(m.offered));
-        json_report->set(key, "good", static_cast<std::int64_t>(m.good));
-        json_report->set(key, "goodput_pct", good_pct);
-        json_report->set(key, "p50_ms",
-                         m.resolution_ms.empty()
-                             ? 0.0
-                             : stats::percentile(m.resolution_ms, 50));
-        json_report->set(key, "p99_ms",
-                         m.resolution_ms.empty()
-                             ? 0.0
-                             : stats::percentile(m.resolution_ms, 99));
-        json_report->set(key, "shed_pct", shed_pct);
-        json_report->set(key, "raf", raf(m));
-        json_report->set(key, "udp_retransmissions",
-                         static_cast<std::int64_t>(m.udp_retransmissions));
-        json_report->set(key, "doh_reissues",
-                         static_cast<std::int64_t>(m.doh_reissues));
-        json_report->set(key, "doh_reconnects",
-                         static_cast<std::int64_t>(m.doh_reconnects));
-        json_report->set(key, "cache_hit_pct", hit_pct);
-        json_report->set(key, "coalesced",
-                         static_cast<std::int64_t>(m.tier.coalesced));
-        json_report->set(key, "retries_detected",
-                         static_cast<std::int64_t>(m.tier.retries_detected));
-        dns::JsonObject shed;
-        shed["queue_full"] =
-            static_cast<std::int64_t>(m.tier.shed_queue_full);
-        shed["deadline"] = static_cast<std::int64_t>(m.tier.shed_deadline);
-        shed["admission"] = static_cast<std::int64_t>(m.tier.shed_admission);
-        shed["fairness"] = static_cast<std::int64_t>(m.tier.shed_fairness);
-        shed["retry_budget"] =
-            static_cast<std::int64_t>(m.tier.shed_retry_budget);
-        json_report->set(key, "shed", dns::JsonValue(std::move(shed)));
-        json_report->set(key, "queue_peak",
-                         static_cast<std::int64_t>(m.tier.queue_peak));
-        json_report->set(key, "doh_peak_sessions",
-                         static_cast<std::int64_t>(m.doh_peak_sessions));
-        json_report->set(key, "doh_memory_bytes",
-                         static_cast<std::int64_t>(m.doh_memory_bytes));
-        json_report->set(key, "aux_pct", aux_pct);
-      }
-    }
-  }
-  return table.render();
+/// Every gate is full-horizon: a cell shorter than the default 10s sees too
+/// little overload, herd or hotspot traffic for the ladder to separate.
+void gates(const bench::Grid<RunMetrics>& g, bench::Gates& out) {
+  // Cell coordinates in the fixed scenario x rung grid.
+  constexpr std::size_t k1x = 1, k2x = 2, kHotspot = 4, kHerd = 5;
+  constexpr std::size_t kNone = 0, kFull = 3;
+  const auto gate = [&](const char* key, const char* claim, bool pass,
+                         std::string numbers) {
+    bench::Gate& added = out.emplace_back(key, claim, bench::kFullHorizon);
+    added.pass = pass;
+    added.numbers = std::move(numbers);
+  };
+  const RunMetrics& full_1x = g.at(k1x, kFull);
+  const RunMetrics& full_2x = g.at(k2x, kFull);
+  const RunMetrics& none_2x = g.at(k2x, kNone);
+  gate("retention", "full@2x >= 80% of full@1x goodput",
+       static_cast<double>(full_2x.good) >=
+           0.8 * static_cast<double>(full_1x.good),
+       bench::strf("(%zu vs %zu)", full_2x.good, full_1x.good));
+  const double none_good = bench::percent(none_2x.good, none_2x.offered);
+  const double full_good = bench::percent(full_2x.good, full_2x.offered);
+  gate("collapse", "none@2x <= half of full@2x goodput%",
+       none_good <= 0.5 * full_good,
+       bench::strf("(%.1f%% vs %.1f%%)", none_good, full_good));
+  const double none_raf = raf(none_2x), full_raf = raf(full_2x);
+  gate("raf", "none@2x >= 1.5, full@2x <= 1.2",
+       none_raf >= 1.5 && full_raf <= 1.2,
+       bench::strf("(%.2f / %.2f)", none_raf, full_raf));
+  const double nonhot = *g.at(kHotspot, kFull).aux_pct;
+  gate("fairness", "hotspot full non-hot >= 85%, beats none",
+       nonhot >= 85.0 && nonhot >= *g.at(kHotspot, kNone).aux_pct,
+       bench::strf("(%.1f%%)", nonhot));
+  const double window = *g.at(kHerd, kFull).aux_pct;
+  gate("herd", "post-recovery window >= 99% on full", window >= 99.0,
+       bench::strf("(%.1f%%)", window));
 }
 
 }  // namespace
@@ -397,8 +354,6 @@ std::string render_matrix(const std::vector<Cell>& cells,
 int main(int argc, char** argv) {
   const std::size_t duration_sec = bench::flag(argc, argv, "duration", 10);
   const std::uint64_t seed = bench::flag(argc, argv, "seed", 7);
-  const std::size_t jobs = bench::jobs_flag(argc, argv, bench::default_jobs());
-  const bool no_gate = bench::flag_set(argc, argv, "no-gate");
 
   std::printf("=== Overload matrix: offered load x control ladder ===\n");
   std::printf("(~%.0f q/s nominal capacity, %zu clients (even DoH/h2, odd "
@@ -408,81 +363,17 @@ int main(int argc, char** argv) {
               kNominalQps, kClients, kNames, duration_sec,
               static_cast<unsigned long long>(seed));
 
-  obs::Registry registry;
-  bench::BenchReport json_report("overload_matrix");
-  json_report.params["duration"] = static_cast<std::int64_t>(duration_sec);
-  json_report.params["seed"] = static_cast<std::int64_t>(seed);
-  json_report.params["clients"] = static_cast<std::int64_t>(kClients);
-  json_report.params["nominal_qps"] = kNominalQps;
-
-  const auto cells = run_grid(seed, duration_sec, jobs, true);
-  for (const auto& cell : cells) registry.merge_from(cell.registry);
-  const std::string first = render_matrix(cells, &json_report);
-  const std::string second =
-      render_matrix(run_grid(seed, duration_sec, jobs, false));
-  std::fputs(first.c_str(), stdout);
-  std::printf("\ndeterminism check (two full grid runs, same seed): %s\n",
-              first == second ? "PASS - byte-identical" : "FAIL");
-
-  // Cell coordinates in the fixed scenario x rung grid.
-  const auto cell = [&](std::size_t scenario, std::size_t rung)
-      -> const RunMetrics& { return cells[scenario * kRungs.size() + rung].metrics; };
-  constexpr std::size_t k1x = 1, k2x = 2, kHotspot = 4, kHerd = 5;
-  constexpr std::size_t kNone = 0, kFull = 3;
-
-  const RunMetrics& full_1x = cell(k1x, kFull);
-  const RunMetrics& full_2x = cell(k2x, kFull);
-  const RunMetrics& none_2x = cell(k2x, kNone);
-  const bool retention_ok =
-      static_cast<double>(full_2x.good) >=
-      0.8 * static_cast<double>(full_1x.good);
-  const bool collapse_ok =
-      pct(none_2x.good, none_2x.offered) <=
-      0.5 * pct(full_2x.good, full_2x.offered);
-  const bool raf_ok = raf(none_2x) >= 1.5 && raf(full_2x) <= 1.2;
-  const RunMetrics& full_hot = cell(kHotspot, kFull);
-  const RunMetrics& none_hot = cell(kHotspot, kNone);
-  const double full_nonhot = pct(full_hot.nonhot_good, full_hot.nonhot_offered);
-  const bool fairness_ok =
-      full_nonhot >= 85.0 &&
-      full_nonhot >= pct(none_hot.nonhot_good, none_hot.nonhot_offered);
-  const RunMetrics& full_herd = cell(kHerd, kFull);
-  const bool herd_ok =
-      pct(full_herd.window_good, full_herd.window_offered) >= 99.0;
-
-  std::printf("retention gate (full@2x >= 80%% of full@1x goodput): %s "
-              "(%zu vs %zu)\n",
-              retention_ok ? "PASS" : "FAIL", full_2x.good, full_1x.good);
-  std::printf("collapse gate (none@2x <= half of full@2x goodput%%): %s "
-              "(%.1f%% vs %.1f%%)\n",
-              collapse_ok ? "PASS" : "FAIL", pct(none_2x.good, none_2x.offered),
-              pct(full_2x.good, full_2x.offered));
-  std::printf("raf gate (none@2x >= 1.5, full@2x <= 1.2): %s "
-              "(%.2f / %.2f)\n",
-              raf_ok ? "PASS" : "FAIL", raf(none_2x), raf(full_2x));
-  std::printf("fairness gate (hotspot full non-hot >= 85%%, beats none): %s "
-              "(%.1f%%)\n",
-              fairness_ok ? "PASS" : "FAIL", full_nonhot);
-  std::printf("herd gate (post-recovery window >= 99%% on full): %s "
-              "(%.1f%%)\n",
-              herd_ok ? "PASS" : "FAIL",
-              pct(full_herd.window_good, full_herd.window_offered));
-  const bool gates_ok =
-      retention_ok && collapse_ok && raf_ok && fairness_ok && herd_ok;
-  if (no_gate) {
-    std::printf("(--no-gate: ladder gates reported but not enforced)\n");
-  }
-
-  json_report.set("checks", "determinism",
-                  std::string(first == second ? "PASS" : "FAIL"));
-  json_report.set("checks", "retention",
-                  std::string(retention_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "collapse",
-                  std::string(collapse_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "raf", std::string(raf_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "fairness",
-                  std::string(fairness_ok ? "PASS" : "FAIL"));
-  json_report.set("checks", "herd", std::string(herd_ok ? "PASS" : "FAIL"));
-  bench::finish(argc, argv, json_report, nullptr, &registry);
-  return first == second && (no_gate || gates_ok) ? 0 : 1;
+  const auto grid = scenarios();
+  return bench::run_matrix(
+      argc, argv, seed,
+      bench::Matrix<RunMetrics>{
+          "overload_matrix",
+          {{"duration", static_cast<std::int64_t>(duration_sec)},
+           {"clients", static_cast<std::int64_t>(kClients)},
+           {"nominal_qps", kNominalQps}},
+          bench::Axis::of("scenario", grid, &Scenario::name),
+          bench::Axis::of("rung", kRungs), columns, gates},
+      [&](auto row, auto col, auto cell_seed, auto* registry) {
+        return run(grid[row], kRungs[col], cell_seed, duration_sec, registry);
+      });
 }

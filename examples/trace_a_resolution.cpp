@@ -6,6 +6,12 @@
 //
 //   $ ./trace_a_resolution [trace.json]
 //
+// The cold first resolution is also captured packet by packet with a
+// RecordingTap — the simulated equivalent of running tcpdump next to the
+// stub resolver, which is how the paper produced its byte accounting
+// (Figs 3-5) — and printed with its wire totals and the client's
+// CostReport.
+//
 // Act two shows the production-rate hookup: a SamplingTracer keeps 1-in-N
 // roots (deterministically, by query ordinal) so a warm batch of queries
 // records only a sampled subset at full fidelity while metrics — and the
@@ -13,12 +19,9 @@
 // query. The pooled-storage counters (span slots, attribute arena,
 // interned names) are printed at the end; bench/obs_overhead measures
 // what this path costs per query.
-//
-// Companion to trace_resolution (the packet-level tcpdump view): same
-// scenario, but seen as the hierarchical span tree the benches export
-// with --trace.
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "core/doh_client.hpp"
 #include "obs/export.hpp"
@@ -27,6 +30,7 @@
 #include "obs/span.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
+#include "simnet/trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace dohperf;
@@ -58,19 +62,31 @@ int main(int argc, char** argv) {
 
   // Two queries: the first pays the TCP+TLS handshake, the second reuses
   // the connection — compare their `resolution` spans in the timeline.
+  // The tap records every packet of the first one.
+  simnet::RecordingTap tap;
+  net.add_tap(&tap);
   const auto first = resolver_client.resolve(
       dns::Name::parse("www.example.com"), dns::RType::kA, {});
   loop.run();
+  net.remove_tap(&tap);
   const auto second = resolver_client.resolve(
       dns::Name::parse("cdn.example.com"), dns::RType::kA, {});
   loop.run();
   // result() finalizes the lazily computed per-layer costs onto the spans.
-  (void)resolver_client.result(first);
+  const std::string cold_cost = resolver_client.result(first).cost.to_string();
   (void)resolver_client.result(second);
 
   std::printf("span timeline of two DoH resolutions (cold, then warm):\n\n%s",
               obs::render_timeline(tracer).c_str());
   std::printf("\nmetrics snapshot:\n%s", registry.render().c_str());
+
+  std::printf("\npacket trace of the cold resolution:\n\n%s",
+              tap.render(net).c_str());
+  std::printf("\n%zu packets, %llu bytes on the wire\n", tap.size(),
+              static_cast<unsigned long long>(tap.total_bytes()));
+  std::printf("client-side accounting (cost window may differ by a boundary "
+              "ACK):\n  %s\n",
+              cold_cost.c_str());
 
   // Act two: the same client at production rate. A SamplingTracer fronts a
   // fresh tracer and keeps 1-in-4 roots here (1-in-64+ in production); the

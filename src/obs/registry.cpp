@@ -4,159 +4,144 @@
 
 namespace dohperf::obs {
 
-MetricId Registry::register_counter(const std::string& name) {
-  const auto it = counter_ids_.find(name);
-  if (it != counter_ids_.end()) {
-    return MetricId(MetricKind::kCounter, it->second);
-  }
-  const auto index = static_cast<std::uint32_t>(counter_slots_.size());
-  counter_slots_.push_back(CounterSlot{name, 0, false});
-  counter_ids_.emplace(name, index);
-  return MetricId(MetricKind::kCounter, index);
+namespace {
+
+/// The slot index for `name`, appending a fresh slot on first sight.
+template <typename Slot>
+std::uint32_t slot_for(std::map<std::string, std::uint32_t>& ids,
+                       std::vector<Slot>& slots, const std::string& name) {
+  const auto it = ids.find(name);
+  if (it != ids.end()) return it->second;
+  const auto index = static_cast<std::uint32_t>(slots.size());
+  slots.emplace_back();
+  ids.emplace(name, index);
+  return index;
 }
 
-MetricId Registry::register_gauge(const std::string& name) {
-  const auto it = gauge_ids_.find(name);
-  if (it != gauge_ids_.end()) {
-    return MetricId(MetricKind::kGauge, it->second);
-  }
-  const auto index = static_cast<std::uint32_t>(gauge_slots_.size());
-  gauge_slots_.push_back(GaugeSlot{name, 0, false});
-  gauge_ids_.emplace(name, index);
-  return MetricId(MetricKind::kGauge, index);
+/// The touched slot registered under `name`, or null.
+template <typename Slot>
+const Slot* find_slot(const std::map<std::string, std::uint32_t>& ids,
+                      const std::vector<Slot>& slots,
+                      const std::string& name) {
+  const auto it = ids.find(name);
+  if (it == ids.end() || !slots[it->second].touched) return nullptr;
+  return &slots[it->second];
 }
 
-MetricId Registry::register_histogram(const std::string& name) {
-  const auto it = hist_ids_.find(name);
-  if (it != hist_ids_.end()) {
-    return MetricId(MetricKind::kHistogram, it->second);
-  }
-  const auto index = static_cast<std::uint32_t>(hist_slots_.size());
-  hist_slots_.push_back(HistSlot{name, {}});
-  hist_ids_.emplace(name, index);
-  return MetricId(MetricKind::kHistogram, index);
-}
-
-void Registry::sync() const {
-  if (!slots_dirty_) return;
-  for (CounterSlot& slot : counter_slots_) {
-    if (!slot.touched) continue;
-    counters_[slot.name] += slot.pending;
-    slot.pending = 0;
-    slot.touched = false;
-  }
-  for (GaugeSlot& slot : gauge_slots_) {
-    if (!slot.dirty) continue;
-    gauges_[slot.name] = slot.value;
-    slot.dirty = false;
-  }
-  for (HistSlot& slot : hist_slots_) {
-    if (slot.pending.empty()) continue;
-    histograms_[slot.name].add_all(slot.pending);
-    slot.pending.clear();
-  }
-  slots_dirty_ = false;
-}
-
-void Registry::add(const std::string& name, std::uint64_t delta) {
-  counters_[name] += delta;
-}
-
-void Registry::set_gauge(const std::string& name, std::int64_t value) {
-  // Last write wins across both paths: fold older slot writes in first so a
-  // stale dirty slot cannot overwrite this value at the next sync.
-  sync();
-  gauges_[name] = value;
-}
-
-void Registry::observe(const std::string& name, double value) {
-  histograms_[name].add(value);
-}
-
-std::uint64_t Registry::counter(const std::string& name) const {
-  sync();
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
-std::int64_t Registry::gauge(const std::string& name) const {
-  sync();
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0 : it->second;
-}
-
-const stats::Cdf* Registry::histogram(const std::string& name) const {
-  sync();
-  const auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
-HistogramSummary Registry::histogram_summary(const std::string& name) const {
+HistogramSummary summarize(const stats::Cdf& cdf) {
   HistogramSummary s;
-  const stats::Cdf* cdf = histogram(name);
-  if (cdf == nullptr || cdf->empty()) return s;
-  s.count = cdf->count();
-  s.min = cdf->sorted_values().front();
-  s.p25 = cdf->quantile(0.25);
-  s.p50 = cdf->quantile(0.50);
-  s.p75 = cdf->quantile(0.75);
-  s.p90 = cdf->quantile(0.90);
-  s.p95 = cdf->quantile(0.95);
-  s.p99 = cdf->quantile(0.99);
-  s.max = cdf->quantile(1.0);
+  if (cdf.empty()) return s;
+  s.count = cdf.count();
+  s.min = cdf.sorted_values().front();
+  s.p25 = cdf.quantile(0.25);
+  s.p50 = cdf.quantile(0.50);
+  s.p75 = cdf.quantile(0.75);
+  s.p90 = cdf.quantile(0.90);
+  s.p95 = cdf.quantile(0.95);
+  s.p99 = cdf.quantile(0.99);
+  s.max = cdf.quantile(1.0);
   return s;
 }
 
+}  // namespace
+
+MetricId Registry::register_counter(const std::string& name) {
+  return MetricId(MetricKind::kCounter,
+                  slot_for(counter_ids_, counter_slots_, name));
+}
+
+MetricId Registry::register_gauge(const std::string& name) {
+  return MetricId(MetricKind::kGauge,
+                  slot_for(gauge_ids_, gauge_slots_, name));
+}
+
+MetricId Registry::register_histogram(const std::string& name) {
+  return MetricId(MetricKind::kHistogram,
+                  slot_for(hist_ids_, hist_slots_, name));
+}
+
+std::uint64_t Registry::counter(const std::string& name) const {
+  const CounterSlot* slot = find_slot(counter_ids_, counter_slots_, name);
+  return slot == nullptr ? 0 : slot->value;
+}
+
+std::int64_t Registry::gauge(const std::string& name) const {
+  const GaugeSlot* slot = find_slot(gauge_ids_, gauge_slots_, name);
+  return slot == nullptr ? 0 : slot->value;
+}
+
+const stats::Cdf* Registry::histogram(const std::string& name) const {
+  const HistSlot* slot = find_slot(hist_ids_, hist_slots_, name);
+  return slot == nullptr ? nullptr : &slot->cdf;
+}
+
+HistogramSummary Registry::histogram_summary(const std::string& name) const {
+  const stats::Cdf* cdf = histogram(name);
+  return cdf == nullptr ? HistogramSummary{} : summarize(*cdf);
+}
+
+bool Registry::empty() const {
+  for (const CounterSlot& slot : counter_slots_) {
+    if (slot.touched) return false;
+  }
+  for (const GaugeSlot& slot : gauge_slots_) {
+    if (slot.touched) return false;
+  }
+  for (const HistSlot& slot : hist_slots_) {
+    if (slot.touched) return false;
+  }
+  return true;
+}
+
 void Registry::clear() {
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
-  for (CounterSlot& slot : counter_slots_) {
-    slot.pending = 0;
-    slot.touched = false;
-  }
-  for (GaugeSlot& slot : gauge_slots_) {
-    slot.value = 0;
-    slot.dirty = false;
-  }
-  for (HistSlot& slot : hist_slots_) slot.pending.clear();
-  slots_dirty_ = false;
+  for (CounterSlot& slot : counter_slots_) slot = CounterSlot{};
+  for (GaugeSlot& slot : gauge_slots_) slot = GaugeSlot{};
+  for (HistSlot& slot : hist_slots_) slot = HistSlot{};
 }
 
 void Registry::merge_from(const Registry& other) {
-  sync();
-  other.sync();
-  for (const auto& [name, value] : other.counters_) {
-    counters_[name] += value;
+  for (const auto& [name, index] : other.counter_ids_) {
+    const CounterSlot& slot = other.counter_slots_[index];
+    if (slot.touched) add(name, slot.value);
   }
-  for (const auto& [name, value] : other.gauges_) {
-    gauges_[name] = value;
+  for (const auto& [name, index] : other.gauge_ids_) {
+    const GaugeSlot& slot = other.gauge_slots_[index];
+    if (slot.touched) set_gauge(name, slot.value);
   }
-  for (const auto& [name, cdf] : other.histograms_) {
-    histograms_[name].add_all(cdf.sorted_values());
+  for (const auto& [name, index] : other.hist_ids_) {
+    const HistSlot& slot = other.hist_slots_[index];
+    if (!slot.touched) continue;
+    HistSlot& mine = hist_slots_[slot_for(hist_ids_, hist_slots_, name)];
+    mine.cdf.add_all(slot.cdf.sorted_values());
+    mine.touched = true;
   }
 }
 
 dns::JsonValue Registry::to_json() const {
-  sync();
   dns::JsonObject root;
   root["schema"] = dns::JsonValue("dohperf-metrics-v1");
 
   dns::JsonObject counters;
-  for (const auto& [name, value] : counters_) {
-    counters[name] = dns::JsonValue(static_cast<std::int64_t>(value));
+  for (const auto& [name, index] : counter_ids_) {
+    const CounterSlot& slot = counter_slots_[index];
+    if (!slot.touched) continue;
+    counters[name] = dns::JsonValue(static_cast<std::int64_t>(slot.value));
   }
   root["counters"] = dns::JsonValue(std::move(counters));
 
   dns::JsonObject gauges;
-  for (const auto& [name, value] : gauges_) {
-    gauges[name] = dns::JsonValue(value);
+  for (const auto& [name, index] : gauge_ids_) {
+    const GaugeSlot& slot = gauge_slots_[index];
+    if (!slot.touched) continue;
+    gauges[name] = dns::JsonValue(slot.value);
   }
   root["gauges"] = dns::JsonValue(std::move(gauges));
 
   dns::JsonObject histograms;
-  for (const auto& [name, cdf] : histograms_) {
-    const HistogramSummary s = histogram_summary(name);
+  for (const auto& [name, index] : hist_ids_) {
+    const HistSlot& slot = hist_slots_[index];
+    if (!slot.touched) continue;
+    const HistogramSummary s = summarize(slot.cdf);
     dns::JsonObject h;
     h["count"] = dns::JsonValue(static_cast<std::int64_t>(s.count));
     h["min"] = dns::JsonValue(s.min);
@@ -174,16 +159,19 @@ dns::JsonValue Registry::to_json() const {
 }
 
 std::string Registry::render() const {
-  sync();
   std::ostringstream os;
-  for (const auto& [name, value] : counters_) {
-    os << name << ' ' << value << '\n';
+  for (const auto& [name, index] : counter_ids_) {
+    const CounterSlot& slot = counter_slots_[index];
+    if (slot.touched) os << name << ' ' << slot.value << '\n';
   }
-  for (const auto& [name, value] : gauges_) {
-    os << name << ' ' << value << '\n';
+  for (const auto& [name, index] : gauge_ids_) {
+    const GaugeSlot& slot = gauge_slots_[index];
+    if (slot.touched) os << name << ' ' << slot.value << '\n';
   }
-  for (const auto& [name, cdf] : histograms_) {
-    const HistogramSummary s = histogram_summary(name);
+  for (const auto& [name, index] : hist_ids_) {
+    const HistSlot& slot = hist_slots_[index];
+    if (!slot.touched) continue;
+    const HistogramSummary s = summarize(slot.cdf);
     os << name << " n=" << s.count << " p50=" << s.p50 << " p90=" << s.p90
        << " max=" << s.max << '\n';
   }

@@ -4,15 +4,15 @@
 // runs. Metric names form a stable contract documented in EXPERIMENTS.md
 // ("Observability" section); benches and tests key on them.
 //
-// Two write paths share one export shape:
-//   * the name-keyed slow path (`add("cache.hits")`) — an ordered-map
-//     lookup per call, fine for cold/startup code;
-//   * pre-registered MetricId handles (`register_counter` once, then
-//     `add(id)`) — a dense-slot array write, for hot loops (tier dispatch,
-//     cache lookups, per-packet taps, shard inner loops).
-// Slot writes are folded lazily into the ordered maps on any read
-// (sync-on-read), so exports, merge_from and render stay byte-identical to
-// the name-keyed path regardless of which mix of paths produced the data.
+// One storage: every metric lives in a dense slot addressed by a MetricId.
+// Hot loops (tier dispatch, cache lookups, per-packet taps, shard inner
+// loops) `register_counter` once and then `add(id)` — one slot write, no
+// lookup. The name-keyed calls (`add("cache.hits")`) are a front end for
+// cold/startup code: they register the name (an ordered-map lookup) and
+// then write the same slot, so the two kinds of call can be mixed freely
+// and the last write to a gauge wins whichever kind made it. Reads and
+// exports walk the ordered name→slot maps and skip slots never written,
+// so registration alone leaves no trace in an export.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +60,7 @@ class MetricId {
 
 class Registry {
  public:
-  // ---- Pre-registered fast path -----------------------------------------
+  // ---- Handles ------------------------------------------------------------
   // Registering the same name twice returns the same handle; registration
   // alone leaves no trace in exports (only touched metrics serialize).
 
@@ -72,63 +72,54 @@ class Registry {
   void add(MetricId id, std::uint64_t delta = 1) {
     if (id.kind_ != MetricKind::kCounter) return;
     CounterSlot& slot = counter_slots_[id.index_];
-    slot.pending += delta;
+    slot.value += delta;
     slot.touched = true;
-    slots_dirty_ = true;
   }
 
-  /// Set a pre-registered gauge (last write wins across both paths).
+  /// Set a pre-registered gauge (the last write wins).
   void set_gauge(MetricId id, std::int64_t value) {
     if (id.kind_ != MetricKind::kGauge) return;
     GaugeSlot& slot = gauge_slots_[id.index_];
     slot.value = value;
-    slot.dirty = true;
-    slots_dirty_ = true;
+    slot.touched = true;
   }
 
   /// Record one observation against a pre-registered histogram.
   void observe(MetricId id, double value) {
     if (id.kind_ != MetricKind::kHistogram) return;
-    hist_slots_[id.index_].pending.push_back(value);
-    slots_dirty_ = true;
+    HistSlot& slot = hist_slots_[id.index_];
+    slot.cdf.add(value);
+    slot.touched = true;
   }
 
-  // ---- Name-keyed slow path ---------------------------------------------
+  // ---- Names: register, then write the slot -------------------------------
 
   /// Increment a counter (created at 0 on first touch).
-  void add(const std::string& name, std::uint64_t delta = 1);
+  void add(const std::string& name, std::uint64_t delta = 1) {
+    add(register_counter(name), delta);
+  }
 
   /// Set a gauge to an absolute value (e.g. circuit-breaker state).
-  void set_gauge(const std::string& name, std::int64_t value);
+  void set_gauge(const std::string& name, std::int64_t value) {
+    set_gauge(register_gauge(name), value);
+  }
 
   /// Record one histogram observation (fixed-quantile export).
-  void observe(const std::string& name, double value);
+  void observe(const std::string& name, double value) {
+    observe(register_histogram(name), value);
+  }
 
-  // ---- Reads / exports (sync slot writes first) -------------------------
+  // ---- Reads / exports ----------------------------------------------------
 
-  /// Point reads; absent names read as 0 / empty.
+  /// Point reads; absent (or never written) names read as 0 / empty.
+  /// A histogram pointer stays valid until the next registration.
   std::uint64_t counter(const std::string& name) const;
   std::int64_t gauge(const std::string& name) const;
   const stats::Cdf* histogram(const std::string& name) const;
   HistogramSummary histogram_summary(const std::string& name) const;
 
-  const std::map<std::string, std::uint64_t>& counters() const {
-    sync();
-    return counters_;
-  }
-  const std::map<std::string, std::int64_t>& gauges() const {
-    sync();
-    return gauges_;
-  }
-  const std::map<std::string, stats::Cdf>& histograms() const {
-    sync();
-    return histograms_;
-  }
-
-  bool empty() const {
-    sync();
-    return counters_.empty() && gauges_.empty() && histograms_.empty();
-  }
+  /// True when no metric has been written since construction or clear().
+  bool empty() const;
 
   /// Reset all values; registrations (and their handles) stay valid.
   void clear();
@@ -149,33 +140,23 @@ class Registry {
 
  private:
   struct CounterSlot {
-    std::string name;
-    std::uint64_t pending = 0;
+    std::uint64_t value = 0;
     bool touched = false;
   };
   struct GaugeSlot {
-    std::string name;
     std::int64_t value = 0;
-    bool dirty = false;
+    bool touched = false;
   };
   struct HistSlot {
-    std::string name;
-    std::vector<double> pending;
+    stats::Cdf cdf;
+    bool touched = false;
   };
 
-  /// Fold pending slot writes into the ordered maps (no-op when clean).
-  void sync() const;
+  std::vector<CounterSlot> counter_slots_;
+  std::vector<GaugeSlot> gauge_slots_;
+  std::vector<HistSlot> hist_slots_;
 
-  // Mutable: sync-on-read folds slot state into the maps from const reads.
-  mutable std::map<std::string, std::uint64_t> counters_;
-  mutable std::map<std::string, std::int64_t> gauges_;
-  mutable std::map<std::string, stats::Cdf> histograms_;
-
-  mutable std::vector<CounterSlot> counter_slots_;
-  mutable std::vector<GaugeSlot> gauge_slots_;
-  mutable std::vector<HistSlot> hist_slots_;
-  mutable bool slots_dirty_ = false;
-
+  // Name → slot index; the export order.
   std::map<std::string, std::uint32_t> counter_ids_;
   std::map<std::string, std::uint32_t> gauge_ids_;
   std::map<std::string, std::uint32_t> hist_ids_;

@@ -298,6 +298,14 @@ TEST(DetlintConc, ReachabilityCrossesFileBoundaries) {
   EXPECT_EQ(diags[0].file, "conc_xfile_lib.cpp");
 }
 
+TEST(DetlintConc, MatrixCellLambdaIsAShardFunctor) {
+  auto diags = conc_fixtures({"conc_matrix_cell.cpp"});
+  auto counts = live_counts(diags);
+  EXPECT_EQ(counts[Code::CONC001], 1);
+  EXPECT_EQ(counts[Code::CONC002], 1);
+  EXPECT_EQ(counts.size(), 2u);
+}
+
 TEST(DetlintConc, EngineRunsConcPassUnlessDisabled) {
   detlint::ScanOptions options;
   options.root = DETLINT_FIXTURE_DIR;

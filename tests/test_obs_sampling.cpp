@@ -186,6 +186,27 @@ TEST(Registry, MetricIdWritesExportByteIdenticalToNameKeyedWrites) {
   EXPECT_EQ(by_name.render(), by_id.render());
   EXPECT_EQ(by_id.counter("cache.hits"), 300u);
   EXPECT_EQ(by_id.gauge("tier.queue_depth"), 99);
+
+  // Both kinds of write on the same metrics of one registry: a handle
+  // write, then a name write. Counters sum, histogram samples pool, and
+  // the later write to the gauge wins whichever kind made it.
+  Registry mixed;
+  const MetricId mixed_hits = mixed.register_counter("cache.hits");
+  const MetricId mixed_depth = mixed.register_gauge("tier.queue_depth");
+  const MetricId mixed_lat = mixed.register_histogram("tier.latency_ms");
+  for (int i = 0; i < 100; i += 2) {
+    mixed.add(mixed_hits, 3);
+    mixed.add("cache.hits", 3);
+    mixed.set_gauge(mixed_depth, -i);
+    mixed.set_gauge("tier.queue_depth", i);
+    mixed.observe(mixed_lat, 0.5 * i);
+    mixed.observe("tier.latency_ms", 0.5 * (i + 1));
+  }
+  EXPECT_EQ(mixed.gauge("tier.queue_depth"), 98);
+  mixed.set_gauge("tier.queue_depth", -1);
+  mixed.set_gauge(mixed_depth, 99);  // a handle write after a name write
+  EXPECT_EQ(by_name.to_json().dump(), mixed.to_json().dump());
+  EXPECT_EQ(by_name.render(), mixed.render());
 }
 
 TEST(Registry, RegistrationAloneLeavesNoTraceInExports) {

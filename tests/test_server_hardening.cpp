@@ -235,11 +235,13 @@ TEST_F(DohHardeningTest, RawGarbageToTlsPortIsRejectedNotFatal) {
   start();
   auto conn = client.tcp_connect({server.id(), 443});
   simnet::TcpCallbacks cbs;
-  cbs.on_connected = [conn]() {
+  // The callback lives inside the connection, so a raw pointer cannot
+  // dangle; capturing `conn` would keep the connection alive forever.
+  cbs.on_connected = [raw = conn.get()]() {
     // A complete record whose body is not a TLS handshake message: the
     // terminator must answer with a decode_error alert and close, not
     // propagate an exception or crash.
-    conn->send(Bytes{0x16, 0x03, 0x03, 0x00, 0x03, 0xde, 0xad, 0xbe});
+    raw->send(Bytes{0x16, 0x03, 0x03, 0x00, 0x03, 0xde, 0xad, 0xbe});
   };
   conn->set_callbacks(std::move(cbs));
   loop.run();

@@ -217,8 +217,10 @@ class TcpTest : public TwoHostFixture {
     server.tcp_listen(port, [this](std::shared_ptr<TcpConnection> conn) {
       accepted = conn;
       TcpCallbacks cbs;
-      cbs.on_data = [conn](std::span<const std::uint8_t> data) {
-        conn->send(Bytes(data.begin(), data.end()));
+      // The callback lives inside the connection, so a raw pointer cannot
+      // dangle; capturing `conn` would keep the connection alive forever.
+      cbs.on_data = [echo = conn.get()](std::span<const std::uint8_t> data) {
+        echo->send(Bytes(data.begin(), data.end()));
       };
       conn->set_callbacks(std::move(cbs));
     });
@@ -304,9 +306,11 @@ TEST_F(TcpTest, OrderlyCloseBothSides) {
   server.tcp_listen(80, [&](std::shared_ptr<TcpConnection> c) {
     accepted = c;
     TcpCallbacks scbs;
-    scbs.on_remote_closed = [&remote_closed_on_server, c]() {
+    // A raw pointer, as in listen_echo(): capturing `c` would keep the
+    // connection alive forever.
+    scbs.on_remote_closed = [&remote_closed_on_server, raw = c.get()]() {
       remote_closed_on_server = true;
-      c->close();  // close our side too
+      raw->close();  // close our side too
     };
     c->set_callbacks(std::move(scbs));
   });

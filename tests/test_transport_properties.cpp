@@ -99,8 +99,10 @@ TEST_P(TcpBidirectional, EchoSurvivesLoss) {
 
   b.tcp_listen(80, [](std::shared_ptr<simnet::TcpConnection> c) {
     simnet::TcpCallbacks cbs;
-    cbs.on_data = [c](std::span<const std::uint8_t> d) {
-      c->send(Bytes(d.begin(), d.end()));
+    // The callback lives inside the connection, so a raw pointer cannot
+    // dangle; capturing `c` would keep the connection alive forever.
+    cbs.on_data = [echo = c.get()](std::span<const std::uint8_t> d) {
+      echo->send(Bytes(d.begin(), d.end()));
     };
     c->set_callbacks(std::move(cbs));
   });

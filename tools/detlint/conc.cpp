@@ -222,8 +222,10 @@ void ConcAnalyzer::add_file(const std::string& path, const LexedFile& lexed) {
   };
 
   // Collects call/ref/static/sync facts from a token range into a Region,
-  // and records run_sharded call sites (whose lambda bodies re-enter the
-  // same analysis) — a struct so it can recurse.
+  // and records shard sites — calls to run_sharded, or to the matrix
+  // harness's run_matrix, which hands its cell lambda to run_sharded —
+  // whose lambda bodies re-enter the same analysis (a struct so it can
+  // recurse).
   struct BodyAnalyzer {
     const std::vector<Token>& t;
     FileModel& model;
@@ -272,7 +274,8 @@ void ConcAnalyzer::add_file(const std::string& path, const LexedFile& lexed) {
         const std::size_t open = call_open_paren(t, i);
         if (open == 0) continue;
         region.calls.insert(text);
-        if (collect_sites && text == "run_sharded") {
+        if (collect_sites &&
+            (text == "run_sharded" || text == "run_matrix")) {
           collect_shard_site(i, open, region);
         }
       }

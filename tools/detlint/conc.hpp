@@ -7,7 +7,8 @@
 // call sites with their shard lambdas, struct definitions, mutable static
 // state, synchronization tokens), links the models into a name-based call
 // graph, and marks everything reachable from a shard functor as
-// *parallel-reachable*.  Lambda bodies are attributed to the function that
+// *parallel-reachable*.  A lambda passed to bench::run_matrix (the matrix
+// harness, which runs it inside run_sharded) is a shard functor too.  Lambda bodies are attributed to the function that
 // textually contains them, so server/tier callbacks registered inside a
 // reachable function are covered without tracking std::function values.
 //
