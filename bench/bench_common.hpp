@@ -82,14 +82,16 @@ inline void print_box(const std::string& label,
 
 /// Quantile summary of a sample as a JSON object (Fig 3-5 presentation).
 inline dns::JsonValue box_json(const std::vector<double>& xs) {
-  const auto bw = stats::BoxWhisker::from(xs);
   dns::JsonObject o;
   o["n"] = static_cast<std::int64_t>(xs.size());
-  o["min"] = bw.min;
-  o["q1"] = bw.q1;
-  o["med"] = bw.median;
-  o["q3"] = bw.q3;
-  o["max"] = bw.max;
+  if (!xs.empty()) {
+    const auto bw = stats::BoxWhisker::from(xs);
+    o["min"] = bw.min;
+    o["q1"] = bw.q1;
+    o["med"] = bw.median;
+    o["q3"] = bw.q3;
+    o["max"] = bw.max;
+  }
   return dns::JsonValue(std::move(o));
 }
 

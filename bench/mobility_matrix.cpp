@@ -17,10 +17,11 @@
 // amortization ledger — migrations, resumed vs full handshakes, handshake
 // bytes/RTTs paid, racing bytes wasted. Self-gating (full-horizon gates,
 // waived by --no-gate; determinism always checked): the policy ladder must
-// be monotone in availability at every churn rate, resumption must pay
-// strictly fewer handshake bytes than naive under churn, DoQ migration must
-// survive re-addressing with zero new handshakes, and the whole table must
-// be a pure function of --seed (two grid runs, byte-identical).
+// be monotone in availability at every churn rate, the resume and race
+// rungs must pay strictly fewer handshake bytes (and no more handshake
+// RTTs) than naive under churn, DoQ migration must survive re-addressing
+// with zero new handshakes, and the whole table must be a pure function of
+// --seed (two grid runs, byte-identical).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -289,25 +290,28 @@ void gates(const bench::Grid<RunMetrics>& g, bench::Gates& out) {
     }
   }
 
-  // Under churn, session resumption pays strictly fewer handshake bytes
-  // (and no more handshake RTTs) than the full-handshake rung, and actually
-  // resumed at least once.
+  // Under churn, every rung with a session cache (resume, and race on top
+  // of it) pays strictly fewer handshake bytes (and no more handshake
+  // RTTs) than the full-handshake rung, and actually resumed at least once.
   bench::Gate& resumption = out.emplace_back(
       "resumption",
-      "under churn: strictly fewer handshake bytes than naive, no extra RTTs",
+      "under churn: resume and race rungs pay strictly fewer handshake bytes "
+      "than naive, no extra RTTs",
       bench::kFullHorizon);
   for (std::size_t c = 0; c < churns.size(); ++c) {
     if (churns[c].interval == 0) continue;
-    for (const auto& [naive, resume] :
-         {std::pair{kDotNaive, kDotResume}, {kDohNaive, kDohResume}}) {
+    for (const auto& [naive, cached] :
+         {std::pair{kDotNaive, kDotResume}, {kDotNaive, kDotRace},
+          {kDohNaive, kDohResume}, {kDohNaive, kDohRace}}) {
       const auto& n = g.at(c, naive).migration;
-      const auto& r = g.at(c, resume).migration;
+      const auto& r = g.at(c, cached).migration;
       if (r.resumed_handshakes == 0 || r.handshake_bytes >= n.handshake_bytes ||
           r.handshake_rtts > n.handshake_rtts) {
         resumption.fail(bench::strf(
-            "churn=%s %s resumed=%llu bytes=%llu vs naive bytes=%llu "
+            "churn=%s %s/%s resumed=%llu bytes=%llu vs naive bytes=%llu "
             "rtts=%llu vs %llu",
-            churns[c].name.c_str(), kRungs.labels[resume][0].c_str(),
+            churns[c].name.c_str(), kRungs.labels[cached][0].c_str(),
+            kRungs.labels[cached][1].c_str(),
             static_cast<unsigned long long>(r.resumed_handshakes),
             static_cast<unsigned long long>(r.handshake_bytes),
             static_cast<unsigned long long>(n.handshake_bytes),

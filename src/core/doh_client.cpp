@@ -32,22 +32,21 @@ DohClient::DohClient(simnet::Host& host, simnet::Address server,
       lifecycle_(
           host, config_.obs,
           config_.http_version == HttpVersion::kHttp2 ? "doh_h2" : "doh_h1",
-          config_.retry, config_.migration,
-          [this]() {
-            return persistent_stack_ && !persistent_stack_->outstanding.empty();
-          },
-          [this](const char* reason) { begin_migration(reason); }) {}
+          config_.retry, config_.migration, [this]() { return in_flight(); },
+          [this](const char* reason) { race_.migrate(reason, in_flight()); }),
+      race_(lifecycle_, host.loop(), *this) {}
 
 DohClient::~DohClient() = default;
 
-std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
+bool DohClient::in_flight() const {
+  const auto& stack = race_.current();
+  return stack && !stack->outstanding.empty();
+}
+
+std::shared_ptr<DohClient::Stack> DohClient::open_connection(
+    obs::SpanId parent) {
   auto stack = std::make_shared<Stack>();
-  lifecycle_.count(&TransportMetrics::conn_open);
-  if (config_.obs.tracer != nullptr) {
-    stack->connect_span = config_.obs.tracer->begin(parent, "connect");
-    stack->tcp_hs_span =
-        config_.obs.tracer->begin(stack->connect_span, "tcp_handshake");
-  }
+  stack->spans.begin(config_.obs, parent, "tcp_handshake");
   stack->tcp = host_.tcp_connect(server_);
 
   tlssim::ClientConfig tls_config;
@@ -74,36 +73,17 @@ std::shared_ptr<DohClient::Stack> DohClient::make_stack(obs::SpanId parent) {
     // Split connection setup into tcp_handshake / tls_handshake spans. The
     // hooks stay with us even though the HTTP layer owns the TLS handlers.
     tls->set_transport_open_hook([this, weak]() {
-      auto s = weak.lock();
-      if (!s) return;
-      config_.obs.end(s->tcp_hs_span);
-      s->tcp_hs_span = 0;
-      s->tls_hs_span =
-          config_.obs.tracer->begin(s->connect_span, "tls_handshake");
+      if (auto s = weak.lock()) s->spans.transport_open(config_.obs);
     });
   }
   // Always installed (not only when tracing): this is where handshake and
-  // resumption accounting happens, and where a winning migration racer gets
-  // promoted.
+  // resumption accounting happens, and where a migration racer reports in.
   tls->set_established_hook([this, weak]() {
     auto s = weak.lock();
     if (!s) return;
-    if (s->tls_hs_span != 0 && s->tls != nullptr) {
-      config_.obs.set_attr(s->tls_hs_span, "tls_version",
-                           tlssim::to_string(s->tls->version()));
-      config_.obs.set_attr(s->tls_hs_span, "resumed", s->tls->resumed());
-      config_.obs.set_attr(s->tls_hs_span, "alpn", s->tls->alpn());
-    }
-    config_.obs.end(s->tls_hs_span);
-    config_.obs.end(s->connect_span);
-    s->tls_hs_span = 0;
-    s->connect_span = 0;
-    if (s->tls != nullptr) lifecycle_.account_tls(*s->tls);
-    if (s == racing_stack_) {
-      // Defer one (zero-delay) event: promotion tears the old stack down
-      // and must not run inside this stack's own TLS callback.
-      host_.loop().schedule_in(0, [this]() { promote_racer(); });
-    }
+    s->spans.established(config_.obs, s->tls);
+    lifecycle_.account_tls(*s->tls);
+    if (s == race_.racer()) race_.racer_established();
   });
 
   if (config_.http_version == HttpVersion::kHttp2) {
@@ -162,30 +142,36 @@ void DohClient::on_stream_event(const std::shared_ptr<Stack>& stack,
   }
 }
 
+bool DohClient::live(const std::shared_ptr<Stack>& stack) {
+  // Replaced once the transport failed or closed, or the server announced
+  // shutdown (GOAWAY).
+  return stack && !stack->broken && !stack->tls->failed() &&
+         !stack->tls->closed() &&
+         !(stack->h2 && stack->h2->goaway_received());
+}
+
+std::uint64_t DohClient::wire_bytes(const std::shared_ptr<Stack>& stack) {
+  return stack && stack->tcp ? stack->tcp->counters().total_wire_bytes() : 0;
+}
+
+void DohClient::abort_connection(std::shared_ptr<Stack>& stack) {
+  if (stack->tcp) stack->tcp->abort();  // no local callbacks fire
+  stack->spans.abandon(config_.obs);
+}
+
+void DohClient::reissue_from(const std::shared_ptr<Stack>& old,
+                             ReissueCause) {
+  // A promoted racer's queries, too, go through the connection-loss path:
+  // each waits one backoff before it moves to the new stack.
+  const std::shared_ptr<Stack> stack = old;  // on_stack_error may reset `old`
+  on_stack_error(stack);
+}
+
 std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(
     obs::SpanId parent) {
-  if (!config_.persistent) return make_stack(parent);
-  // Reuse the stack while it is connecting or open; replace it once the
-  // transport failed, closed, or the server announced shutdown (GOAWAY).
-  const bool usable = persistent_stack_ && !persistent_stack_->broken &&
-                      !persistent_stack_->tls->failed() &&
-                      !persistent_stack_->tls->closed() &&
-                      !(persistent_stack_->h2 &&
-                        persistent_stack_->h2->goaway_received());
-  if (!usable) {
-    // The main stack died while a migration race was still on: adopt the
-    // racer (whose handshake, possibly resumed, is already paid for)
-    // instead of opening yet another connection.
-    if (racing_stack_ && !racing_stack_->broken &&
-        !racing_stack_->tls->failed() && !racing_stack_->tls->closed()) {
-      persistent_stack_ = std::move(racing_stack_);
-    } else {
-      persistent_stack_ = make_stack(parent);
-    }
-  } else {
-    lifecycle_.count(&TransportMetrics::conn_reuse);
-  }
-  return persistent_stack_;
+  if (config_.persistent) return race_.acquire(parent);
+  lifecycle_.count(&TransportMetrics::conn_open);
+  return open_connection(parent);
 }
 
 std::uint64_t DohClient::resolve(const dns::Name& name, dns::RType type,
@@ -345,24 +331,14 @@ void DohClient::issue(const std::shared_ptr<Stack>& stack,
 void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack,
                                ReissueCause cause, std::uint64_t suspect) {
   if (stack->broken) return;  // double report (close after reset etc.)
-  if (stack == racing_stack_) {
-    // The migration racer died: the old path keeps the race. Defer the
-    // teardown one event — this may be running inside the racer's own
-    // TLS/HTTP callbacks.
-    stack->broken = true;
-    host_.loop().schedule_in(0, [this, stack]() {
-      if (stack == racing_stack_) teardown_racer();
-    });
+  stack->broken = true;
+  if (stack == race_.racer()) {
+    race_.racer_failed();
     return;
   }
-  stack->broken = true;
-  if (persistent_stack_ == stack) persistent_stack_.reset();
-
+  if (race_.current() == stack) race_.current().reset();
   // Spans of a connection that died mid-handshake must not stay open.
-  config_.obs.end(stack->tcp_hs_span);
-  config_.obs.end(stack->tls_hs_span);
-  config_.obs.end(stack->connect_span);
-  stack->tcp_hs_span = stack->tls_hs_span = stack->connect_span = 0;
+  stack->spans.abandon(config_.obs);
 
   std::vector<std::uint64_t> victims;
   std::size_t suspect_at = stack->outstanding.size();
@@ -452,9 +428,7 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   }
   if (success) {
     lifecycle_.succeeded();
-    // A full response on the old path while racing: the stall was
-    // transient, keep the connection and drop the racer.
-    teardown_racer();
+    race_.drop_racer();  // the old path answered
   }
   if (!state.fresh_stack && state.stack) {
     // Persistent connection: freeze the counter window one event from now,
@@ -506,9 +480,7 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   // reallocate states_ and invalidate `state`.
   auto callback = std::move(state.callback);
   if (callback) callback(result);
-  if (persistent_stack_ && !persistent_stack_->outstanding.empty()) {
-    lifecycle_.arm_stall();
-  }
+  if (in_flight()) lifecycle_.arm_stall();
 }
 
 const ResolutionResult& DohClient::result(std::uint64_t id) const {
@@ -534,97 +506,20 @@ const ResolutionResult& DohClient::result(std::uint64_t id) const {
   return result;
 }
 
-void DohClient::begin_migration(const char* reason) {
-  if (!config_.migration.enabled || !config_.persistent) return;
-  if (racing_stack_) return;  // a race is already deciding the new path
-  if (!persistent_stack_) return;  // nothing to migrate; next query reconnects
-  lifecycle_.begin_migrate(reason);
-  const bool usable = !persistent_stack_->broken &&
-                      !persistent_stack_->tls->failed() &&
-                      !persistent_stack_->tls->closed() &&
-                      !(persistent_stack_->h2 &&
-                        persistent_stack_->h2->goaway_received());
-  if (!usable || persistent_stack_->outstanding.empty() ||
-      !config_.migration.race) {
-    // Nothing worth racing against: drop the suspect connection so the next
-    // attempt reconnects on the new path, resuming via the session cache
-    // when one is configured.
-    auto old = persistent_stack_;
-    lifecycle_.record_migration();
-    lifecycle_.end_migrate("fresh");
-    if (old->tcp) old->tcp->abort();  // no local callbacks fire
-    on_stack_error(old);  // clears persistent_stack_, re-issues in flight
-    return;
-  }
-  // Happy-eyeballs: open a fresh stack and race it against the stalled one.
-  // make_stack wires the promote/teardown plumbing via the established and
-  // error hooks; whichever path proves itself first wins, and the loser's
-  // bytes are charged to migration_wasted_bytes.
-  const auto& tc = persistent_stack_->tcp->counters();
-  race_baseline_bytes_ = tc.wire_bytes_sent + tc.wire_bytes_received;
-  racing_stack_ = make_stack(lifecycle_.migrate_span());
-}
-
-void DohClient::promote_racer() {
-  if (!racing_stack_ || racing_stack_->broken ||
-      racing_stack_->tls == nullptr || !racing_stack_->tls->established() ||
-      racing_stack_->tls->failed() || racing_stack_->tls->closed()) {
-    return;  // adopted, torn down, or died before this event fired
-  }
-  // The fresh path won. Everything the stalled stack moved since the race
-  // began bought nothing — charge it as migration waste.
-  auto old = persistent_stack_;
-  std::uint64_t wasted = 0;
-  if (old && old->tcp) {
-    const auto& c = old->tcp->counters();
-    wasted = c.wire_bytes_sent + c.wire_bytes_received - race_baseline_bytes_;
-  }
-  lifecycle_.record_wasted(wasted);
-  lifecycle_.record_migration();
-  persistent_stack_ = std::move(racing_stack_);
-  lifecycle_.end_migrate("fresh");
-  if (old) {
-    // Abort the stalled transport and let the group-retry path re-issue its
-    // in-flight queries — stack_for_query now hands out the promoted stack.
-    if (old->tcp) old->tcp->abort();
-    on_stack_error(old);
-  }
-}
-
-void DohClient::teardown_racer() {
-  if (!racing_stack_) return;
-  auto racer = std::move(racing_stack_);
-  racer->broken = true;
-  if (racer->tcp) racer->tcp->abort();
-  std::uint64_t wasted = 0;
-  if (racer->tcp) {
-    const auto& c = racer->tcp->counters();
-    wasted = c.wire_bytes_sent + c.wire_bytes_received;
-  }
-  lifecycle_.record_wasted(wasted);
-  // Dangling connect spans of the abandoned racer must not stay open.
-  config_.obs.end(racer->tcp_hs_span);
-  config_.obs.end(racer->tls_hs_span);
-  config_.obs.end(racer->connect_span);
-  racer->tcp_hs_span = racer->tls_hs_span = racer->connect_span = 0;
-  lifecycle_.end_migrate("old");
-}
-
 void DohClient::disconnect() {
-  if (!persistent_stack_) return;
-  if (persistent_stack_->h2) persistent_stack_->h2->close();
-  if (persistent_stack_->h1) persistent_stack_->h1->close();
-  persistent_stack_.reset();
+  auto& stack = race_.current();
+  if (!stack) return;
+  if (stack->h2) stack->h2->close();
+  if (stack->h1) stack->h1->close();
+  stack.reset();
 }
 
 const simnet::TcpCounters* DohClient::tcp_counters() const {
-  return persistent_stack_ ? &persistent_stack_->tcp->counters() : nullptr;
+  return race_.current() ? &race_.current()->tcp->counters() : nullptr;
 }
 
 const tlssim::TlsCounters* DohClient::tls_counters() const {
-  return persistent_stack_ && persistent_stack_->tls
-             ? &persistent_stack_->tls->counters()
-             : nullptr;
+  return race_.current() ? &race_.current()->tls->counters() : nullptr;
 }
 
 }  // namespace dohperf::core

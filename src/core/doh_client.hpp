@@ -23,7 +23,10 @@
 // retry budget runs out. An optional per-query timeout additionally covers
 // accept-then-never-answer stalls. For a retried query the recorded cost
 // window covers its final attempt (dns_message_bytes accumulates across
-// attempts — retransmitted queries do cost bytes).
+// attempts — retransmitted queries do cost bytes). With MigrationConfig a
+// persistent client detects network churn and races a fresh connection
+// against the stalled one: core::MigrationRace holds the persistent stack
+// and decides reuse, adoption and the race, as for DoT.
 #pragma once
 
 #include <deque>
@@ -113,9 +116,7 @@ class DohClient final : public ResolverClient {
     bool broken = false;  ///< transport failed; never reuse
 
     // Observability state (all unused when tracing is off).
-    obs::SpanId connect_span = 0;
-    obs::SpanId tcp_hs_span = 0;
-    obs::SpanId tls_hs_span = 0;
+    ConnectSpans spans;
     /// Query ids whose h2 HEADERS has not left yet, in request() order —
     /// the stream observer pops these to learn each stream's query.
     std::deque<std::uint64_t> awaiting_stream;
@@ -125,7 +126,19 @@ class DohClient final : public ResolverClient {
     CostReport snapshot() const;
   };
 
-  std::shared_ptr<Stack> make_stack(obs::SpanId parent);
+  using StackRace = MigrationRace<std::shared_ptr<Stack>, DohClient>;
+  friend StackRace;
+
+  // The MigrationRace connection trait.
+  std::shared_ptr<Stack> open_connection(obs::SpanId parent);
+  /// Connecting or open, and no GOAWAY: usable for new queries.
+  static bool live(const std::shared_ptr<Stack>& stack);
+  static std::uint64_t wire_bytes(const std::shared_ptr<Stack>& stack);
+  void abort_connection(std::shared_ptr<Stack>& stack);
+  void reissue_from(const std::shared_ptr<Stack>& old, ReissueCause cause);
+
+  /// Queries in flight on the persistent stack.
+  bool in_flight() const;
   std::shared_ptr<Stack> stack_for_query(obs::SpanId parent);
   void on_stream_event(const std::shared_ptr<Stack>& stack,
                        std::uint32_t stream_id, http2::StreamEvent event);
@@ -142,20 +155,14 @@ class DohClient final : public ResolverClient {
   void on_query_timeout(std::uint64_t query_id);
   /// Re-issue a query on a (possibly fresh) connection.
   void reissue(std::uint64_t query_id);
-  void begin_migration(const char* reason);
-  void promote_racer();
-  void teardown_racer();
 
   simnet::Host& host_;
   simnet::Address server_;
   DohClientConfig config_;
   ConnectionLifecycle lifecycle_;  ///< transport key "doh_h2" or "doh_h1"
+  StackRace race_;  ///< the persistent stack (unused in fresh mode)
   mutable CostMetrics cmetrics_;  ///< mutable: result() is const
 
-  std::shared_ptr<Stack> persistent_stack_;
-  /// Migration race: a fresh stack racing the stalled persistent one.
-  std::shared_ptr<Stack> racing_stack_;
-  std::uint64_t race_baseline_bytes_ = 0;
   std::uint64_t next_query_id_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t failures_ = 0;

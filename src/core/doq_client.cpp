@@ -22,21 +22,14 @@ void DoqClient::ensure_connection(obs::SpanId parent) {
     return;
   }
   lifecycle_.count(&TransportMetrics::conn_open);
-  if (config_.obs.tracer != nullptr) {
-    connect_span_ = config_.obs.tracer->begin(parent, "connect");
-    quic_hs_span_ =
-        config_.obs.tracer->begin(connect_span_, "quic_handshake");
-  }
+  spans_.begin(config_.obs, parent, "quic_handshake");
   tlssim::ClientConfig tls;
   tls.sni = config_.server_name;
   tls.alpn = {"doq"};
   endpoint_ = std::make_unique<quicsim::QuicClientEndpoint>(
       host_, server_, std::move(tls), config_.quic);
   endpoint_->connection().set_on_established([this]() {
-    config_.obs.end(quic_hs_span_);
-    config_.obs.end(connect_span_);
-    quic_hs_span_ = 0;
-    connect_span_ = 0;
+    spans_.established(config_.obs, nullptr);
     // quicsim models no 0-RTT resumption: every handshake is a full one,
     // one combined transport+crypto round trip (QUIC's selling point).
     lifecycle_.account_handshake(
@@ -140,9 +133,7 @@ void DoqClient::on_stream_data(std::uint64_t stream_id,
 }
 
 void DoqClient::on_closed() {
-  config_.obs.end(quic_hs_span_);
-  config_.obs.end(connect_span_);
-  quic_hs_span_ = connect_span_ = 0;
+  spans_.abandon(config_.obs);
   // Re-issues are deferred behind a backoff delay, so the replacement
   // endpoint is never built inside this (dying) connection's callback.
   group_reissue(ReissueCause::kConnectionLoss);
@@ -200,7 +191,6 @@ void DoqClient::fail_query(PendingQuery pq) {
 }
 
 void DoqClient::begin_migration(const char* reason) {
-  if (!config_.migration.enabled) return;
   if (!endpoint_ || endpoint_->connection().closed() ||
       !endpoint_->connection().established()) {
     return;  // nothing to migrate; the retry path handles reconnects

@@ -85,8 +85,7 @@ class DoqClient final : public ResolverClient {
   ConnectionLifecycle lifecycle_;
   CostMetrics cmetrics_;
   std::unique_ptr<quicsim::QuicClientEndpoint> endpoint_;
-  obs::SpanId connect_span_ = 0;
-  obs::SpanId quic_hs_span_ = 0;
+  ConnectSpans spans_;  ///< of the endpoint's connection
   bool closing_ = false;  ///< disconnect() in progress: do not retry
 
   std::map<std::uint64_t, PendingQuery> pending_;  ///< keyed by stream id

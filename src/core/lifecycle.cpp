@@ -2,6 +2,45 @@
 
 namespace dohperf::core {
 
+namespace {
+
+/// With queries in flight and no byte received for this long, the path is
+/// suspect and a migration starts. Silent NAT rebinds, which the OS never
+/// reports, are caught this way.
+constexpr simnet::TimeUs kStallTimeout = simnet::ms(400);
+
+}  // namespace
+
+void ConnectSpans::begin(const obs::SpanContext& obs, obs::SpanId parent,
+                         const char* handshake) {
+  if (obs.tracer == nullptr) return;
+  connect = obs.tracer->begin(parent, "connect");
+  transport = obs.tracer->begin(connect, handshake);
+}
+
+void ConnectSpans::transport_open(const obs::SpanContext& obs) {
+  obs.end(transport);
+  transport = 0;
+  if (obs.tracer != nullptr) tls = obs.tracer->begin(connect, "tls_handshake");
+}
+
+void ConnectSpans::established(const obs::SpanContext& obs,
+                               const tlssim::TlsConnection* tls_conn) {
+  if (tls != 0 && tls_conn != nullptr) {
+    obs.set_attr(tls, "tls_version", tlssim::to_string(tls_conn->version()));
+    obs.set_attr(tls, "resumed", tls_conn->resumed());
+    if (!tls_conn->alpn().empty()) obs.set_attr(tls, "alpn", tls_conn->alpn());
+  }
+  abandon(obs);
+}
+
+void ConnectSpans::abandon(const obs::SpanContext& obs) {
+  obs.end(transport);
+  obs.end(tls);
+  obs.end(connect);
+  connect = transport = tls = 0;
+}
+
 ConnectionLifecycle::ConnectionLifecycle(
     simnet::Host& host, const obs::SpanContext& obs, std::string transport,
     const RetryPolicy& retry, const MigrationConfig& migration,
@@ -14,7 +53,7 @@ ConnectionLifecycle::ConnectionLifecycle(
       busy_(std::move(busy)),
       migrate_(std::move(migrate)),
       backoff_(retry) {
-  if (migration_.enabled && migration_.react_to_host_events) {
+  if (migration_.enabled) {
     listener_id_ = host_.add_network_change_listener(
         [this](simnet::NetworkChangeKind kind) {
           migrate_(simnet::to_string(kind));
@@ -61,13 +100,11 @@ const char* ConnectionLifecycle::reason(ReissueCause cause) noexcept {
 }
 
 void ConnectionLifecycle::arm_stall() {
-  if (!migration_.enabled || migration_.stall_timeout <= 0) return;
-  if (stall_timer_.valid) return;
-  stall_timer_ =
-      host_.loop().schedule_in(migration_.stall_timeout, [this]() {
-        stall_timer_ = simnet::EventId{};
-        on_stall();
-      });
+  if (!migration_.enabled || stall_timer_.valid) return;
+  stall_timer_ = host_.loop().schedule_in(kStallTimeout, [this]() {
+    stall_timer_ = simnet::EventId{};
+    on_stall();
+  });
 }
 
 void ConnectionLifecycle::cancel_stall() {

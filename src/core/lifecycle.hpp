@@ -1,14 +1,17 @@
 // The connection lifecycle shared by the connection-oriented resolver
 // clients: the stream client behind DNS over TCP and DoT, DoH and DoQ.
-// It owns the client.<t>.* counters, the retry and migration ledgers, the
-// stall detector and the reconnect-and-reissue policy. Each client keeps
-// its own connections, framing and migration race.
+// ConnectionLifecycle owns the client.<t>.* counters, the retry, handshake
+// and migration ledgers, the stall detector and the reconnect-and-reissue
+// policy; ConnectSpans the setup spans of one connection; MigrationRace the
+// connection of the stream client and DoH, and its migration race. Each
+// client keeps its connection type, its framing and its queries in flight.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "core/migration.hpp"
 #include "core/obs_hooks.hpp"
@@ -40,6 +43,26 @@ enum class ReissueCause {
   kMigration,
   /// One multiplexed stream timed out: charged, re-sent at once.
   kTimeout,
+};
+
+/// The setup spans of one connection: `connect`, the transport handshake
+/// under it (`tcp_handshake` or `quic_handshake`) and, for TLS over TCP,
+/// the `tls_handshake` that follows. All 0 when tracing is off.
+struct ConnectSpans {
+  obs::SpanId connect = 0;
+  obs::SpanId transport = 0;
+  obs::SpanId tls = 0;
+
+  void begin(const obs::SpanContext& obs, obs::SpanId parent,
+             const char* handshake);
+  /// The transport is up: its span ends, `tls_handshake` begins.
+  void transport_open(const obs::SpanContext& obs);
+  /// Tag `tls_handshake` (version, resumed, alpn when negotiated) and close
+  /// every span.
+  void established(const obs::SpanContext& obs,
+                   const tlssim::TlsConnection* tls);
+  /// Close whatever is still open (the connection died or was abandoned).
+  void abandon(const obs::SpanContext& obs);
 };
 
 class ConnectionLifecycle {
@@ -109,7 +132,8 @@ class ConnectionLifecycle {
 
   // ---- Handshakes and migrations -----------------------------------------
 
-  /// Handshake and resumption accounting when a TLS connection comes up.
+  /// Handshake and resumption accounting when a TLS connection comes up;
+  /// called once per connection, from its TLS established hook.
   void account_tls(const tlssim::TlsConnection& tls);
   void account_handshake(bool resumed, std::uint64_t bytes,
                          std::uint64_t rtts);
@@ -140,6 +164,112 @@ class ConnectionLifecycle {
   std::uint64_t listener_id_ = 0;
   bool ever_connected_ = false;
   obs::SpanId migrate_span_ = 0;
+};
+
+/// The connection of the stream client or persistent DoH, and the
+/// happy-eyeballs race a migration runs for it: a fresh connection against
+/// the current one, the loser's bytes charged to migration_wasted_bytes.
+/// `Conn` is default-constructible, movable and false when empty. `Client`
+/// supplies open_connection(parent), static live(c) (open or handshaking),
+/// static wire_bytes(c) (TCP, both ways; 0 when empty), abort_connection(c)
+/// (no local callbacks fire; spans abandoned) and reissue_from(old, cause),
+/// which re-issues what was in flight on the aborted `old`.
+template <typename Conn, typename Client>
+class MigrationRace {
+ public:
+  MigrationRace(ConnectionLifecycle& lifecycle, simnet::EventLoop& loop,
+                Client& client)
+      : lifecycle_(lifecycle), loop_(loop), client_(client) {}
+  ~MigrationRace() {
+    loop_.cancel(promote_);
+    loop_.cancel(check_racer_);
+  }
+
+  MigrationRace(const MigrationRace&) = delete;
+  MigrationRace& operator=(const MigrationRace&) = delete;
+
+  Conn& current() noexcept { return current_; }
+  const Conn& current() const noexcept { return current_; }
+  Conn& racer() noexcept { return racer_; }
+
+  /// The current connection while it is live, else a live racer (its
+  /// handshake is already paid for), else a new one.
+  Conn& acquire(obs::SpanId parent) {
+    if (Client::live(current_)) {
+      lifecycle_.count(&TransportMetrics::conn_reuse);
+    } else if (Client::live(racer_)) {
+      current_ = std::exchange(racer_, Conn{});
+    } else {
+      lifecycle_.count(&TransportMetrics::conn_open);
+      current_ = client_.open_connection(parent);
+    }
+    return current_;
+  }
+
+  /// Race only a live connection with queries in flight; drop anything
+  /// else so the next attempt reconnects (resuming via the session cache).
+  void migrate(const char* reason, bool in_flight) {
+    if (racer_ || !current_) return;
+    lifecycle_.begin_migrate(reason);
+    if (!in_flight || !Client::live(current_)) {
+      lifecycle_.record_migration();
+      lifecycle_.end_migrate("fresh");
+      client_.abort_connection(current_);
+      client_.reissue_from(current_, ReissueCause::kConnectionLoss);
+      return;
+    }
+    lifecycle_.count(&TransportMetrics::conn_open);
+    baseline_ = Client::wire_bytes(current_);
+    racer_ready_ = false;
+    racer_ = client_.open_connection(lifecycle_.migrate_span());
+  }
+
+  // The racer's outcome is acted on one (zero-delay) event later: it
+  // replaces connections, which must not happen inside their callbacks.
+  void racer_established() {
+    racer_ready_ = true;
+    loop_.cancel(promote_);
+    promote_ = loop_.schedule_in(0, [this]() { promote(); });
+  }
+  void racer_failed() {
+    loop_.cancel(check_racer_);
+    check_racer_ = loop_.schedule_in(0, [this]() {
+      if (!Client::live(racer_)) drop_racer();
+    });
+  }
+
+  /// The old path won (a response arrived on it), or the racer died.
+  void drop_racer() {
+    if (!racer_) return;
+    Conn racer = std::exchange(racer_, Conn{});
+    client_.abort_connection(racer);
+    lifecycle_.record_wasted(Client::wire_bytes(racer));
+    lifecycle_.end_migrate("old");
+  }
+
+ private:
+  void promote() {
+    if (!racer_ready_ || !Client::live(racer_)) return;  // adopted or died
+    // What the old connection moved since the race began bought nothing.
+    const std::uint64_t moved = Client::wire_bytes(current_);
+    lifecycle_.record_wasted(moved > baseline_ ? moved - baseline_ : 0);
+    lifecycle_.record_migration();
+    Conn old = std::exchange(current_, std::exchange(racer_, Conn{}));
+    lifecycle_.end_migrate("fresh");
+    if (!old) return;
+    client_.abort_connection(old);
+    client_.reissue_from(old, ReissueCause::kMigration);
+  }
+
+  ConnectionLifecycle& lifecycle_;
+  simnet::EventLoop& loop_;
+  Client& client_;
+  Conn current_;
+  Conn racer_;
+  std::uint64_t baseline_ = 0;  ///< old connection's bytes at race start
+  bool racer_ready_ = false;    ///< the racer's handshake completed
+  simnet::EventId promote_;
+  simnet::EventId check_racer_;
 };
 
 template <typename RetryOf, typename Fail, typename Resend>

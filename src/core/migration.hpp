@@ -4,21 +4,22 @@
 //
 // The paper's cost finding is that DoH/DoT amortize their connection-setup
 // tax over a long-lived connection — which network churn (NAT rebind,
-// Wi-Fi -> LTE handover, interface flap) cuts short. This header holds the
-// shared policy knobs and accounting for the clients' migration machinery:
+// Wi-Fi -> LTE handover, interface flap) cuts short. MigrationConfig has a
+// single switch; with it on, a client runs all of the following (the
+// shared parts live in core/lifecycle.hpp):
 //   * detection — OS-visible change notifications (Host listeners) plus a
-//     stall timer for the silent NAT rebinds the OS never reports (both in
-//     ConnectionLifecycle, core/lifecycle.hpp);
-//   * recovery  — happy-eyeballs racing of a fresh connection against the
-//     stalled one (loser's bytes charged to migration_wasted_bytes), with
-//     the TLS session cache making the re-handshake a 1-RTT resumption;
+//     400 ms stall timer for the silent NAT rebinds the OS never reports
+//     (ConnectionLifecycle);
+//   * recovery  — DoT and DoH race a fresh connection against the stalled
+//     one (MigrationRace; the loser's bytes are charged to
+//     migration_wasted_bytes), with the TLS session cache making the
+//     re-handshake a 1-RTT resumption; DoQ validates the new path instead;
 //   * re-issue  — in-flight queries move to the winning connection under
 //     their existing RetryPolicy budgets.
 #pragma once
 
 #include <cstdint>
 
-#include "simnet/time.hpp"
 #include "tlssim/types.hpp"
 
 namespace dohperf::core {
@@ -27,18 +28,6 @@ struct MigrationConfig {
   /// Master switch: off keeps the legacy behaviour byte-for-byte (churn is
   /// only ever discovered through query timeouts).
   bool enabled = false;
-  /// Subscribe to the host's OS-visible change events (profile swap, flap).
-  /// Silent NAT rebinds are never delivered this way; the stall timer is
-  /// what catches those.
-  bool react_to_host_events = true;
-  /// With queries in flight and no response for this long, treat the path
-  /// as suspect and start a migration. 0 disables stall detection.
-  simnet::TimeUs stall_timeout = simnet::ms(400);
-  /// Race a fresh connection against the stalled one (loser torn down and
-  /// charged to migration_wasted_bytes). When false, migration tears the
-  /// old connection down immediately and reconnects — simpler, but a false
-  /// stall alarm then kills a healthy connection.
-  bool race = true;
 };
 
 /// Per-client migration and handshake-amortization accounting. Mirrored

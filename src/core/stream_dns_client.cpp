@@ -4,18 +4,6 @@
 
 namespace dohperf::core {
 
-bool StreamDnsClient::Connection::live() const {
-  if (!stream) return false;
-  if (tls != nullptr) return !tls->failed() && !tls->closed();
-  return tcp->established() || tcp->state() == simnet::TcpState::kSynSent;
-}
-
-void StreamDnsClient::Connection::drop() {
-  if (tcp) tcp->abort();
-  stream.reset();
-  tls = nullptr;
-}
-
 StreamDnsClient::StreamDnsClient(simnet::Host& host, simnet::Address server,
                                  DotClientConfig config, bool tls)
     : host_(host),
@@ -25,90 +13,93 @@ StreamDnsClient::StreamDnsClient(simnet::Host& host, simnet::Address server,
       lifecycle_(
           host, config_.obs, tls ? "dot" : "tcp", config_.retry,
           config_.migration, [this]() { return !pending_.empty(); },
-          [this](const char* reason) { begin_migration(reason); }) {}
+          [this](const char* reason) {
+            race_.migrate(reason, !pending_.empty());
+          }),
+      race_(lifecycle_, host.loop(), *this) {}
 
 StreamDnsClient::~StreamDnsClient() = default;
 
-StreamDnsClient::Connection StreamDnsClient::open() {
+StreamDnsClient::Connection StreamDnsClient::open_connection(
+    obs::SpanId parent) {
   Connection c;
+  c.serial = next_serial_++;
+  c.spans.begin(config_.obs, parent, "tcp_handshake");
   c.tcp = host_.tcp_connect(server_);
   auto stream = std::make_unique<simnet::TcpByteStream>(c.tcp);
-  if (!use_tls_) {
+  if (use_tls_) {
+    tlssim::ClientConfig tls_config;
+    tls_config.sni = config_.server_name;
+    tls_config.min_version = config_.min_tls;
+    tls_config.max_version = config_.max_tls;
+    tls_config.session_cache = config_.session_cache;
+    // RFC 7858 defines no mandatory ALPN token; offer none.
+    auto tls = std::make_unique<tlssim::TlsConnection>(std::move(stream),
+                                                       std::move(tls_config));
+    if (config_.obs.tracer != nullptr) {
+      tls->set_transport_open_hook([this, serial = c.serial]() {
+        if (Connection* conn = find(serial)) {
+          conn->spans.transport_open(config_.obs);
+        }
+      });
+    }
+    tls->set_established_hook(
+        [this, serial = c.serial]() { on_established(serial); });
+    c.tls = tls.get();
+    c.stream = std::move(tls);
+  } else {
     c.stream = std::move(stream);
-    return c;
   }
-  tlssim::ClientConfig tls_config;
-  tls_config.sni = config_.server_name;
-  tls_config.min_version = config_.min_tls;
-  tls_config.max_version = config_.max_tls;
-  tls_config.session_cache = config_.session_cache;
-  // RFC 7858 defines no mandatory ALPN token; offer none.
-  auto tls = std::make_unique<tlssim::TlsConnection>(std::move(stream),
-                                                     std::move(tls_config));
-  c.tls = tls.get();
-  c.stream = std::move(tls);
+  simnet::ByteStream::Handlers h;
+  // With TLS the established hook reports the end of setup.
+  if (!use_tls_) {
+    h.on_open = [this, serial = c.serial]() { on_established(serial); };
+  }
+  h.on_data = [this, serial = c.serial](std::span<const std::uint8_t> d) {
+    if (race_.current().serial == serial) on_data(d);
+  };
+  h.on_close = [this, serial = c.serial]() {
+    if (race_.current().serial == serial) {
+      race_.current().spans.abandon(config_.obs);
+      reissue_from(race_.current(), ReissueCause::kConnectionLoss);
+    } else if (race_.racer().serial == serial) {
+      race_.racer_failed();
+    }
+  };
+  c.stream->set_handlers(std::move(h));
   return c;
 }
 
-void StreamDnsClient::install_handlers() {
-  simnet::ByteStream::Handlers h;
-  h.on_open = [this]() {
-    if (tls_hs_span_ != 0 && conn_.tls != nullptr) {
-      config_.obs.set_attr(tls_hs_span_, "tls_version",
-                           tlssim::to_string(conn_.tls->version()));
-      config_.obs.set_attr(tls_hs_span_, "resumed", conn_.tls->resumed());
-    }
-    // With TLS, the transport-open hook already closed tcp_handshake.
-    obs::SpanId& handshake =
-        conn_.tls != nullptr ? tls_hs_span_ : tcp_hs_span_;
-    config_.obs.end(handshake);
-    config_.obs.end(connect_span_);
-    handshake = connect_span_ = 0;
-    account_established();
-  };
-  h.on_data = [this](std::span<const std::uint8_t> d) { on_data(d); };
-  h.on_close = [this]() { on_close(); };
-  conn_.stream->set_handlers(std::move(h));
+bool StreamDnsClient::live(const Connection& c) {
+  if (!c.stream) return false;
+  if (c.tls != nullptr) return !c.tls->failed() && !c.tls->closed();
+  return c.tcp->established() || c.tcp->state() == simnet::TcpState::kSynSent;
 }
 
-void StreamDnsClient::account_established() {
-  if (conn_.tls != nullptr) lifecycle_.account_tls(*conn_.tls);
+std::uint64_t StreamDnsClient::wire_bytes(const Connection& c) {
+  return c.tcp ? c.tcp->counters().total_wire_bytes() : 0;
 }
 
-void StreamDnsClient::ensure_connection(obs::SpanId parent) {
-  // A connection is reusable while it is open or still handshaking; one
-  // that failed or whose transport closed (including RST mid-handshake)
-  // must be replaced.
-  if (conn_.live()) {
-    lifecycle_.count(&TransportMetrics::conn_reuse);
-    return;
-  }
-  // The main connection died while a migration race was still on: adopt
-  // the racer instead of opening yet another connection.
-  if (racer_.live()) {
-    conn_ = std::exchange(racer_, {});
-    rx_.clear();
-    const bool already_open = conn_.stream->is_open();
-    install_handlers();
-    if (already_open) account_established();
-    return;
-  }
-  lifecycle_.count(&TransportMetrics::conn_open);
-  if (config_.obs.tracer != nullptr) {
-    connect_span_ = config_.obs.tracer->begin(parent, "connect");
-    tcp_hs_span_ = config_.obs.tracer->begin(connect_span_, "tcp_handshake");
-  }
-  conn_ = open();
-  if (conn_.tls != nullptr && config_.obs.tracer != nullptr) {
-    conn_.tls->set_transport_open_hook([this]() {
-      config_.obs.end(tcp_hs_span_);
-      tcp_hs_span_ = 0;
-      tls_hs_span_ =
-          config_.obs.tracer->begin(connect_span_, "tls_handshake");
-    });
-  }
-  install_handlers();
-  rx_.clear();
+void StreamDnsClient::abort_connection(Connection& c) {
+  c.spans.abandon(config_.obs);
+  if (c.tcp) c.tcp->abort();
+  c.stream.reset();
+  c.tls = nullptr;
+}
+
+StreamDnsClient::Connection* StreamDnsClient::find(std::uint64_t serial) {
+  if (race_.current().serial == serial) return &race_.current();
+  if (race_.racer().serial == serial) return &race_.racer();
+  return nullptr;
+}
+
+void StreamDnsClient::on_established(std::uint64_t serial) {
+  Connection* c = find(serial);
+  if (c == nullptr) return;
+  c->spans.established(config_.obs, c->tls);
+  if (c->tls == nullptr) return;
+  lifecycle_.account_tls(*c->tls);
+  if (c != &race_.current()) race_.racer_established();
 }
 
 std::uint16_t StreamDnsClient::allocate_dns_id() {
@@ -139,7 +130,7 @@ std::uint64_t StreamDnsClient::resolve(const dns::Name& name,
 }
 
 void StreamDnsClient::send_query(std::uint16_t dns_id, Pending pending) {
-  ensure_connection(pending.retry.span);
+  Connection& conn = race_.acquire(pending.retry.span);
   const std::uint64_t query_id = pending.query_id;
   lifecycle_.begin_request(pending.retry);
 
@@ -157,12 +148,18 @@ void StreamDnsClient::send_query(std::uint16_t dns_id, Pending pending) {
   framed.bytes(wire);
   lifecycle_.arm_stall();
   // Queued below until the TCP (and TLS) handshake ends.
-  conn_.stream->send(framed.take());
+  conn.stream->send(framed.take());
 }
 
 void StreamDnsClient::on_data(std::span<const std::uint8_t> data) {
   // Bytes arriving means the path is alive: restart stall detection.
   lifecycle_.cancel_stall();
+  if (rx_of_ != race_.current().serial) {
+    // The first bytes of a new connection: what the last one left
+    // unframed is void.
+    rx_.clear();
+    rx_of_ = race_.current().serial;
+  }
   rx_.insert(rx_.end(), data.begin(), data.end());
   while (rx_.size() >= 2) {
     const std::size_t len = (static_cast<std::size_t>(rx_[0]) << 8) | rx_[1];
@@ -196,24 +193,14 @@ void StreamDnsClient::on_data(std::span<const std::uint8_t> data) {
     obs_finish_resolution(config_.obs, lifecycle_.metrics(),
                           pending.retry.span, lifecycle_.transport(), result);
     if (pending.callback) pending.callback(result);
-    // A full response on the old path while racing: the stall was
-    // transient, keep the connection and drop the racer.
-    teardown_racer();
+    race_.drop_racer();  // the old path answered
   }
   if (!pending_.empty()) lifecycle_.arm_stall();
 }
 
-void StreamDnsClient::on_close(ReissueCause cause, std::uint16_t suspect) {
-  // Spans of a connection that died mid-handshake must not stay open.
-  config_.obs.end(tcp_hs_span_);
-  config_.obs.end(tls_hs_span_);
-  config_.obs.end(connect_span_);
-  tcp_hs_span_ = tls_hs_span_ = connect_span_ = 0;
-  reissue_pending(cause, suspect);
-}
-
-void StreamDnsClient::reissue_pending(ReissueCause cause,
-                                      std::uint16_t suspect) {
+void StreamDnsClient::reissue_from(const Connection&, ReissueCause cause,
+                                   std::uint16_t suspect) {
+  // Every query in flight ran on the one current connection.
   std::vector<Pending> victims;
   std::size_t suspect_at = pending_.size();
   for (auto& [dns_id, entry] : pending_) {
@@ -247,9 +234,8 @@ void StreamDnsClient::on_query_timeout(std::uint16_t dns_id) {
     // Discard the suspect connection -- as real stub resolvers discard
     // suspect TCP sessions -- and let the reconnect path re-issue every
     // pending query, this one included.
-    conn_.drop();
-    rx_.clear();
-    on_close(ReissueCause::kTimeoutTeardown, dns_id);
+    abort_connection(race_.current());
+    reissue_from(race_.current(), ReissueCause::kTimeoutTeardown, dns_id);
     return;
   }
   Pending pending = std::move(it->second);
@@ -270,97 +256,21 @@ void StreamDnsClient::fail_query(Pending pending) {
   if (pending.callback) pending.callback(result);
 }
 
-void StreamDnsClient::begin_migration(const char* reason) {
-  if (!config_.migration.enabled || closing_) return;
-  if (racer_.stream) return;  // a race is already deciding the new path
-  if (!conn_.stream && pending_.empty()) return;  // nothing to migrate
-  lifecycle_.begin_migrate(reason);
-  if (!conn_.live() || pending_.empty() || !config_.migration.race) {
-    // Nothing worth racing against: drop the (suspect or already dead)
-    // connection so the next attempt reconnects on the new path, resuming
-    // via the session cache when one is configured.
-    conn_.drop();
-    rx_.clear();
-    lifecycle_.record_migration();
-    lifecycle_.end_migrate("fresh");
-    if (!pending_.empty()) on_close();  // reconnect + re-issue in flight
-    return;
-  }
-  // Happy-eyeballs: open a fresh connection and race it against the
-  // stalled one. Whichever proves the path first wins; the loser's bytes
-  // are charged to migration_wasted_bytes.
-  lifecycle_.count(&TransportMetrics::conn_open);
-  const auto& tc = conn_.tcp->counters();
-  race_baseline_bytes_ = tc.wire_bytes_sent + tc.wire_bytes_received;
-  racer_ = open();
-  simnet::ByteStream::Handlers rh;
-  // Both outcomes defer one (zero-delay) event: the handlers below must
-  // not destroy the std::function currently executing.
-  rh.on_open = [this]() {
-    host_.loop().schedule_in(0, [this]() { promote_racer(); });
-  };
-  rh.on_close = [this]() {
-    host_.loop().schedule_in(0, [this]() {
-      if (racer_.stream && !racer_.live()) teardown_racer();
-    });
-  };
-  racer_.stream->set_handlers(std::move(rh));
-}
-
-void StreamDnsClient::promote_racer() {
-  if (!racer_.stream || !racer_.stream->is_open()) {
-    return;  // adopted, torn down, or died before this event fired
-  }
-  // The fresh path won. Everything the stalled connection moved since the
-  // race began bought nothing — charge it as migration waste.
-  std::uint64_t wasted = 0;
-  if (conn_.tcp) {
-    const auto& c = conn_.tcp->counters();
-    wasted = c.wire_bytes_sent + c.wire_bytes_received - race_baseline_bytes_;
-  }
-  lifecycle_.record_wasted(wasted);
-  lifecycle_.record_migration();
-  conn_.drop();
-  conn_ = std::exchange(racer_, {});
-  rx_.clear();
-  install_handlers();
-  account_established();
-  lifecycle_.end_migrate("fresh");
-  // In-flight queries move to the validated new path immediately — no
-  // backoff, the path is known good — each charged one retry.
-  reissue_pending(ReissueCause::kMigration);
-}
-
-void StreamDnsClient::teardown_racer() {
-  if (!racer_.stream) return;
-  std::uint64_t wasted = 0;
-  if (racer_.tcp) {
-    racer_.tcp->abort();
-    const auto& c = racer_.tcp->counters();
-    wasted = c.wire_bytes_sent + c.wire_bytes_received;
-  }
-  lifecycle_.record_wasted(wasted);
-  racer_ = Connection{};
-  lifecycle_.end_migrate("old");
-}
-
 void StreamDnsClient::disconnect() {
-  if (!conn_.stream) return;
+  if (!race_.current()) return;
   closing_ = true;
-  conn_.stream->close();
+  race_.current().stream->close();
   closing_ = false;
 }
 
-bool StreamDnsClient::connected() const {
-  return conn_.stream && conn_.stream->is_open();
-}
-
 const tlssim::TlsCounters* StreamDnsClient::tls_counters() const {
-  return conn_.tls != nullptr ? &conn_.tls->counters() : nullptr;
+  const tlssim::TlsConnection* tls = race_.current().tls;
+  return tls != nullptr ? &tls->counters() : nullptr;
 }
 
 const simnet::TcpCounters* StreamDnsClient::tcp_counters() const {
-  return conn_.tcp ? &conn_.tcp->counters() : nullptr;
+  const auto& tcp = race_.current().tcp;
+  return tcp ? &tcp->counters() : nullptr;
 }
 
 const ResolutionResult& StreamDnsClient::result(std::uint64_t id) const {

@@ -8,7 +8,8 @@
 // were in flight, each under its own retry budget; a per-query timeout
 // optionally covers servers that accept but never answer. With
 // MigrationConfig it detects network churn and races a fresh connection
-// against the stalled one.
+// against the stalled one. Connection reuse, adoption and the race are
+// core::MigrationRace; this class supplies the connection and the framing.
 #pragma once
 
 #include <map>
@@ -54,7 +55,6 @@ class StreamDnsClient : public ResolverClient {
   /// Close the connection (a new one is opened on the next resolve).
   /// Outstanding queries fail without retry — the close was deliberate.
   void disconnect();
-  bool connected() const;
 
   /// Connection-level counters of the current connection (null when none).
   const simnet::TcpCounters* tcp_counters() const;
@@ -74,13 +74,12 @@ class StreamDnsClient : public ResolverClient {
     std::shared_ptr<simnet::TcpConnection> tcp;
     std::unique_ptr<simnet::ByteStream> stream;
     tlssim::TlsConnection* tls = nullptr;  ///< `stream`, when TLS is on
+    std::uint64_t serial = 0;  ///< names it in its callbacks; 1, 2, ...
+    ConnectSpans spans;
 
-    /// Open or still handshaking: usable for new queries.
-    bool live() const;
-    /// Abort the TCP connection (no local callbacks fire) and drop the
-    /// stream; the TCP counters stay readable.
-    void drop();
+    explicit operator bool() const noexcept { return stream != nullptr; }
   };
+  friend class MigrationRace<Connection, StreamDnsClient>;
 
   /// Everything needed to answer — or re-issue — one query.
   struct Pending {
@@ -91,43 +90,40 @@ class StreamDnsClient : public ResolverClient {
     QueryRetry retry;
   };
 
-  Connection open();
-  void ensure_connection(obs::SpanId parent);
+  // The MigrationRace connection trait.
+  Connection open_connection(obs::SpanId parent);
+  /// Open or still handshaking: usable for new queries.
+  static bool live(const Connection& c);
+  static std::uint64_t wire_bytes(const Connection& c);
+  /// Abort the TCP connection (no local callbacks fire) and drop the
+  /// stream; the TCP counters stay readable.
+  void abort_connection(Connection& c);
+  /// Fail or re-issue everything in flight. `suspect` is the DNS ID whose
+  /// timeout condemned the connection (0: none).
+  void reissue_from(const Connection& old, ReissueCause cause,
+                    std::uint16_t suspect = 0);
+
+  /// The current connection or the racer, by serial (null: neither).
+  Connection* find(std::uint64_t serial);
+  /// Setup of connection `serial` completed (TLS: the handshake).
+  void on_established(std::uint64_t serial);
   void send_query(std::uint16_t dns_id, Pending pending);
   void on_data(std::span<const std::uint8_t> data);
-  /// The connection is gone: fail or re-issue everything in flight.
-  /// `suspect` is the DNS ID whose timeout condemned it (0: none).
-  void on_close(ReissueCause cause = ReissueCause::kConnectionLoss,
-                std::uint16_t suspect = 0);
-  void reissue_pending(ReissueCause cause, std::uint16_t suspect = 0);
   void on_query_timeout(std::uint16_t dns_id);
   void fail_query(Pending pending);
   std::uint16_t allocate_dns_id();
-  void install_handlers();
-  void account_established();
-  void begin_migration(const char* reason);
-  void promote_racer();
-  void teardown_racer();
 
   simnet::Host& host_;
   simnet::Address server_;
   DotClientConfig config_;
   bool use_tls_;
   ConnectionLifecycle lifecycle_;
+  MigrationRace<Connection, StreamDnsClient> race_;
   CostMetrics cmetrics_;
-
-  Connection conn_;
-  dns::Bytes rx_;
-
-  // Migration race: the fresh connection racing the stalled one, and the
-  // stalled side's byte count at race start (everything it moves after
-  // that is wasted if it loses).
-  Connection racer_;
-  std::uint64_t race_baseline_bytes_ = 0;
-  obs::SpanId connect_span_ = 0;
-  obs::SpanId tcp_hs_span_ = 0;
-  obs::SpanId tls_hs_span_ = 0;
   bool closing_ = false;  ///< disconnect() in progress: do not retry
+  std::uint64_t next_serial_ = 1;
+  dns::Bytes rx_;  ///< received, not yet framed bytes of connection rx_of_
+  std::uint64_t rx_of_ = 0;
 
   std::uint16_t next_dns_id_ = 1;
   std::uint64_t next_query_id_ = 0;

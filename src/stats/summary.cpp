@@ -57,9 +57,10 @@ double percentile(std::span<const double> xs, double p) {
 double median(std::span<const double> xs) { return percentile(xs, 50.0); }
 
 BoxWhisker BoxWhisker::from(std::span<const double> xs) {
+  BoxWhisker bw;
+  if (xs.empty()) return bw;
   std::vector<double> copy(xs.begin(), xs.end());
   std::sort(copy.begin(), copy.end());
-  BoxWhisker bw;
   bw.min = copy.front();
   bw.q1 = percentile_sorted(copy, 25.0);
   bw.median = percentile_sorted(copy, 50.0);

@@ -53,6 +53,7 @@ struct BoxWhisker {
   double q3 = 0.0;
   double max = 0.0;
 
+  /// All zeros for an empty sample.
   static BoxWhisker from(std::span<const double> xs);
 
   /// Render as e.g. "min=1 q1=2 med=3 q3=4 max=5" with the given unit label.

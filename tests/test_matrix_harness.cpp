@@ -83,6 +83,16 @@ Outcome run_toy(const std::string& tag, const bench::Matrix<Toy>& matrix,
   return out;
 }
 
+TEST(MatrixHarness, BoxJsonOfAnEmptySampleIsItsCountOnly) {
+  const dns::JsonValue empty = bench::box_json({});
+  ASSERT_TRUE(empty.is_object());
+  EXPECT_EQ(empty.as_object().size(), 1u);
+  EXPECT_EQ(empty.at("n").as_int(), 0);
+  const dns::JsonValue one = bench::box_json({4.0});
+  EXPECT_EQ(one.at("n").as_int(), 1);
+  EXPECT_DOUBLE_EQ(one.at("med").as_double(), 4.0);
+}
+
 TEST(MatrixHarness, JsonIsByteIdenticalAtJobs1And4) {
   const Outcome serial =
       run_toy("jobs1", toy_matrix(), pure_cell, {"--jobs=1"});

@@ -8,9 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "core/doh_client.hpp"
 #include "core/doq_client.hpp"
 #include "core/dot_client.hpp"
 #include "core/udp_client.hpp"
+#include "obs/registry.hpp"
+#include "obs/span.hpp"
+#include "resolver/doh_server.hpp"
 #include "resolver/doq_server.hpp"
 #include "resolver/dot_server.hpp"
 #include "resolver/engine.hpp"
@@ -264,6 +268,181 @@ class MigrationClientTest : public NetworkChangeTest {
     return retry;
   }
 };
+
+/// A world of its own running DoT or DoH with migration on, so one test
+/// body runs the same churn scenario through both clients' race.
+struct RaceWorld {
+  RaceWorld(const std::string& transport, const core::RetryPolicy& retry,
+            tlssim::SessionCache* cache, obs::Tracer* tracer = nullptr)
+      : net(loop, /*seed=*/7),
+        client(net, "client"),
+        server(net, "server"),
+        engine(loop, {}) {
+    simnet::LinkConfig link;
+    link.latency = simnet::ms(5);
+    net.connect(client.id(), server.id(), link);
+    if (tracer != nullptr) tracer->bind(loop);
+    const obs::SpanContext obs{tracer, 0, &metrics};
+    if (transport == "dot") {
+      dot_server = std::make_unique<resolver::DotServer>(
+          server, engine, resolver::DotServerConfig{}, 853);
+      core::DotClientConfig config;
+      config.server_name = "local.resolver";
+      config.session_cache = cache;
+      config.retry = retry;
+      config.migration.enabled = true;
+      config.obs = obs;
+      dot = std::make_unique<core::DotClient>(
+          client, simnet::Address{server.id(), 853}, config);
+    } else {
+      doh_server = std::make_unique<resolver::DohServer>(
+          server, engine, resolver::DohServerConfig{}, 443);
+      core::DohClientConfig config;
+      config.server_name = "local.resolver";
+      config.session_cache = cache;
+      config.retry = retry;
+      config.migration.enabled = true;
+      config.obs = obs;
+      doh = std::make_unique<core::DohClient>(
+          client, simnet::Address{server.id(), 443}, config);
+    }
+  }
+
+  core::ResolverClient& stub() {
+    if (dot) return *dot;
+    return *doh;
+  }
+  const core::MigrationStats& stats() const {
+    return dot ? dot->migration_stats() : doh->migration_stats();
+  }
+  std::uint64_t conn_opens() const {
+    return metrics.counter(dot ? "client.dot.conn_open"
+                               : "client.doh_h2.conn_open");
+  }
+  /// Change the link's one-way latency without any host event.
+  void set_latency(simnet::TimeUs latency) {
+    simnet::LinkConfig link;
+    link.latency = latency;
+    net.reconfigure(client.id(), server.id(), link);
+  }
+  void restart_server(simnet::TimeUs downtime) {
+    if (dot_server) dot_server->restart(downtime);
+    if (doh_server) doh_server->restart(downtime);
+  }
+  void resolve_at(simnet::TimeUs at, const std::string& name) {
+    loop.schedule_at(at, [this, name]() {
+      stub().resolve(dns::Name::parse(name), dns::RType::kA,
+                     [this](const core::ResolutionResult& r) {
+                       if (r.success) ++answered;
+                     });
+    });
+  }
+
+  simnet::EventLoop loop;
+  simnet::Network net;
+  simnet::Host client;
+  simnet::Host server;
+  obs::Registry metrics;
+  resolver::Engine engine;
+  std::unique_ptr<resolver::DotServer> dot_server;
+  std::unique_ptr<resolver::DohServer> doh_server;
+  std::unique_ptr<core::DotClient> dot;
+  std::unique_ptr<core::DohClient> doh;
+  int answered = 0;
+};
+
+TEST_F(MigrationClientTest, RaceFreshPathWinsResumesOnce) {
+  std::vector<core::MigrationStats> ledgers;
+  for (const std::string transport : {"dot", "doh"}) {
+    SCOPED_TRACE(transport);
+    tlssim::SessionCache cache;
+    RaceWorld w(transport, retry_policy(), &cache);
+    w.resolve_at(0, "one.example.com");
+    // A silent NAT rebind black-holes the connection under two queries:
+    // the stall timer races a fresh connection, which resumes from the
+    // session cache and wins.
+    w.loop.schedule_at(simnet::ms(200),
+                       [&w]() { w.client.rebind(/*rst_old_flows=*/false); });
+    w.resolve_at(simnet::ms(200), "two.example.com");
+    w.resolve_at(simnet::ms(210), "three.example.com");
+    w.loop.run();
+
+    EXPECT_EQ(w.answered, 3);
+    const auto& m = w.stats();
+    EXPECT_EQ(m.migrations, 1u);
+    EXPECT_EQ(m.full_handshakes, 1u);
+    EXPECT_EQ(m.resumed_handshakes, 1u);
+    ledgers.push_back(m);
+  }
+  // One race, one handshake ledger: DoT and DoH pay the same.
+  const auto& dot = ledgers[0];
+  const auto& doh = ledgers[1];
+  EXPECT_EQ(dot.migrations, doh.migrations);
+  EXPECT_EQ(dot.migration_wasted_bytes, doh.migration_wasted_bytes);
+  EXPECT_EQ(dot.resumed_handshakes, doh.resumed_handshakes);
+  EXPECT_EQ(dot.full_handshakes, doh.full_handshakes);
+  EXPECT_EQ(dot.handshake_bytes, doh.handshake_bytes);
+  EXPECT_EQ(dot.handshake_rtts, doh.handshake_rtts);
+}
+
+TEST_F(MigrationClientTest, RaceOldPathWinsOnTransientStall) {
+  for (const std::string transport : {"dot", "doh"}) {
+    SCOPED_TRACE(transport);
+    obs::Tracer tracer;
+    RaceWorld w(transport, retry_policy(), nullptr, &tracer);
+    w.resolve_at(0, "one.example.com");
+    // The link slows to 240 ms one way: the next answer takes 480 ms, past
+    // the 400 ms stall timeout, while the racer needs several such round
+    // trips for its handshake. The old path answers first.
+    w.loop.schedule_at(simnet::ms(100),
+                       [&w]() { w.set_latency(simnet::ms(240)); });
+    w.resolve_at(simnet::ms(100), "two.example.com");
+    w.loop.run();
+
+    EXPECT_EQ(w.answered, 2);
+    const auto& m = w.stats();
+    EXPECT_EQ(m.migrations, 0u);
+    EXPECT_GT(m.migration_wasted_bytes, 0u);
+    int migrate_spans = 0;
+    for (const auto& span : tracer.spans()) {
+      if (span.name != "migrate") continue;
+      ++migrate_spans;
+      const obs::AttrValue* winner = span.attr("winner");
+      ASSERT_NE(winner, nullptr);
+      EXPECT_EQ(std::get<std::string>(*winner), "old");
+    }
+    EXPECT_EQ(migrate_spans, 1);
+  }
+}
+
+TEST_F(MigrationClientTest, RaceAdoptsRacerWhenMainConnectionDies) {
+  for (const std::string transport : {"dot", "doh"}) {
+    SCOPED_TRACE(transport);
+    core::RetryPolicy retry = retry_policy();
+    retry.query_timeout = simnet::seconds(3);
+    RaceWorld w(transport, retry, nullptr);
+    w.resolve_at(0, "one.example.com");
+    // On a slow link (250 ms one way) the server restarts before the next
+    // query reaches it. Its RST is still in flight at 500 ms, when the
+    // stall timer opens a racer; the RST then kills the main connection
+    // while the racer's SYN is outstanding. The re-issue adopts the racer
+    // instead of opening a third connection; the link recovers before the
+    // racer's handshake goes on.
+    w.loop.schedule_at(simnet::ms(100),
+                       [&w]() { w.set_latency(simnet::ms(250)); });
+    w.resolve_at(simnet::ms(100), "two.example.com");
+    w.loop.schedule_at(simnet::ms(300),
+                       [&w]() { w.restart_server(simnet::ms(10)); });
+    w.loop.schedule_at(simnet::ms(700),
+                       [&w]() { w.set_latency(simnet::ms(5)); });
+    w.loop.run();
+
+    EXPECT_EQ(w.answered, 2);
+    EXPECT_EQ(w.conn_opens(), 2u);
+    EXPECT_EQ(w.stats().migrations, 0u);  // adopted, never promoted
+    EXPECT_EQ(w.stats().migration_wasted_bytes, 0u);
+  }
+}
 
 TEST_F(MigrationClientTest, DotReconnectResumesFromSessionCache) {
   resolver::DotServer dot_server(server, make_engine(), {}, 853);

@@ -140,6 +140,15 @@ TEST(BoxWhisker, FiveNumbers) {
   EXPECT_DOUBLE_EQ(bw.max, 101);
 }
 
+TEST(BoxWhisker, EmptySampleIsAllZeros) {
+  const auto bw = BoxWhisker::from(std::vector<double>{});
+  EXPECT_DOUBLE_EQ(bw.min, 0);
+  EXPECT_DOUBLE_EQ(bw.q1, 0);
+  EXPECT_DOUBLE_EQ(bw.median, 0);
+  EXPECT_DOUBLE_EQ(bw.q3, 0);
+  EXPECT_DOUBLE_EQ(bw.max, 0);
+}
+
 TEST(Cdf, FractionAtValue) {
   Cdf cdf;
   for (double x : {1.0, 2.0, 3.0, 4.0}) cdf.add(x);
