@@ -1,8 +1,22 @@
-// Microbenchmarks (google-benchmark) for the protocol codecs: DNS wire
-// format, HPACK, Huffman, HTTP/2 frames, base64url, dns-json, and the
-// discrete-event core. These guard against performance regressions in the
-// machinery every experiment is built on.
-#include <benchmark/benchmark.h>
+// Microbenchmarks for the protocol codecs: DNS wire format, HPACK, Huffman,
+// HTTP/2 frames, base64url, dns-json, and the discrete-event core. These
+// guard against performance regressions in the machinery every experiment
+// is built on.
+//
+// Each case is timed over kReps repetitions of a calibrated iteration count
+// and reported as ns/op median, min and max ("dohperf-bench-v1" JSON via
+// --json). The timings are wall-clock, so this is one of the two benches
+// (with micro_simcore) whose JSON is NOT byte-identical across runs. Each
+// case also reports allocs_per_op: the allocations it makes, counted by
+// running it in one arena shard (bench/shard_runner.hpp). That count is
+// deterministic, so CI gates it exactly.
+#include <algorithm>
+#include <chrono>  // detlint: allow(DET001) wall-clock timing is the measurement here
+#include <cstdio>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "dns/base64url.hpp"
@@ -10,11 +24,37 @@
 #include "dns/message.hpp"
 #include "http2/frame.hpp"
 #include "http2/hpack.hpp"
+#include "shard_runner.hpp"
 #include "simnet/event_loop.hpp"
 
 namespace {
 
 using namespace dohperf;
+
+constexpr int kReps = 5;
+constexpr double kRepSeconds = 0.05;   ///< calibration target per repetition
+constexpr std::size_t kAllocOps = 1000;  ///< iterations in the allocation count
+
+/// Seconds of real time since an arbitrary epoch.
+double now_sec() {
+  // detlint: allow(DET001) microbenchmark measures real elapsed time
+  using clock = std::chrono::steady_clock;
+  // detlint: allow(DET001) microbenchmark measures real elapsed time
+  return std::chrono::duration<double>(clock::now().time_since_epoch())
+      .count();
+}
+
+/// Keeps a result alive so the compiler cannot drop the work producing it.
+template <typename T>
+void keep(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+/// One case: `op` runs a single iteration.
+struct Case {
+  std::string scenario;
+  std::function<void()> op;
+};
 
 dns::Message sample_response() {
   const auto query =
@@ -28,47 +68,6 @@ dns::Message sample_response() {
        dns::ResourceRecord::cname(dns::Name::parse("alias.example.com"),
                                   dns::Name::parse("www.example.com"))});
 }
-
-void BM_DnsEncode(benchmark::State& state) {
-  const auto message = sample_response();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(message.encode());
-  }
-}
-BENCHMARK(BM_DnsEncode);
-
-void BM_DnsDecode(benchmark::State& state) {
-  const auto wire = sample_response().encode();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dns::Message::decode(wire));
-  }
-}
-BENCHMARK(BM_DnsDecode);
-
-void BM_DnsJsonEncode(benchmark::State& state) {
-  const auto message = sample_response();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dns::to_dns_json(message));
-  }
-}
-BENCHMARK(BM_DnsJsonEncode);
-
-void BM_DnsJsonDecode(benchmark::State& state) {
-  const auto json = dns::to_dns_json(sample_response());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dns::from_dns_json(json));
-  }
-}
-BENCHMARK(BM_DnsJsonDecode);
-
-void BM_Base64UrlRoundTrip(benchmark::State& state) {
-  const auto wire = sample_response().encode();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dns::base64url_decode(dns::base64url_encode(wire)));
-  }
-}
-BENCHMARK(BM_Base64UrlRoundTrip);
 
 std::vector<http2::HeaderField> doh_headers() {
   return {
@@ -84,151 +83,131 @@ std::vector<http2::HeaderField> doh_headers() {
   };
 }
 
-void BM_HpackEncodeFirstBlock(benchmark::State& state) {
+std::vector<Case> cases() {
+  std::vector<Case> out;
+  const auto message = sample_response();
+  const auto wire = message.encode();
+  out.push_back({"dns/encode", [message]() { keep(message.encode()); }});
+  out.push_back({"dns/decode", [wire]() { keep(dns::Message::decode(wire)); }});
+  out.push_back({"dns_json/encode",
+                 [message]() { keep(dns::to_dns_json(message)); }});
+  const auto json = dns::to_dns_json(message);
+  out.push_back({"dns_json/decode",
+                 [json]() { keep(dns::from_dns_json(json)); }});
+  out.push_back({"base64url/round_trip", [wire]() {
+                   keep(dns::base64url_decode(dns::base64url_encode(wire)));
+                 }});
+
   const auto headers = doh_headers();
-  for (auto _ : state) {
-    http2::HpackEncoder encoder;  // cold dynamic table every time
-    benchmark::DoNotOptimize(encoder.encode(headers));
-  }
-}
-BENCHMARK(BM_HpackEncodeFirstBlock);
+  out.push_back({"hpack/encode_first_block", [headers]() {
+                   http2::HpackEncoder encoder;  // cold dynamic table
+                   keep(encoder.encode(headers));
+                 }});
+  auto warm = std::make_shared<http2::HpackEncoder>();
+  warm->encode(headers);  // warm the dynamic table
+  out.push_back({"hpack/encode_repeat_block",
+                 [warm, headers]() { keep(warm->encode(headers)); }});
+  http2::HpackEncoder stateless;
+  stateless.disable_dynamic_table();  // a block decodable repeatedly
+  const auto block = stateless.encode(headers);
+  out.push_back({"hpack/decode", [block]() {
+                   http2::HpackDecoder decoder;
+                   keep(decoder.decode(block));
+                 }});
 
-void BM_HpackEncodeRepeatBlock(benchmark::State& state) {
-  const auto headers = doh_headers();
-  http2::HpackEncoder encoder;
-  encoder.encode(headers);  // warm the dynamic table
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(encoder.encode(headers));
-  }
-}
-BENCHMARK(BM_HpackEncodeRepeatBlock);
-
-void BM_HpackDecode(benchmark::State& state) {
-  http2::HpackEncoder encoder;
-  encoder.disable_dynamic_table();  // stateless block, decodable repeatedly
-  const auto block = encoder.encode(doh_headers());
-  for (auto _ : state) {
-    http2::HpackDecoder decoder;
-    benchmark::DoNotOptimize(decoder.decode(block));
-  }
-}
-BENCHMARK(BM_HpackDecode);
-
-void BM_HuffmanEncode(benchmark::State& state) {
   const std::string text =
       "dns-query?dns=AAABAAABAAAAAAAAA3d3dwdleGFtcGxlA2NvbQAAAQAB";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(http2::huffman_encode(text));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_HuffmanEncode);
+  out.push_back({"huffman/encode",
+                 [text]() { keep(http2::huffman_encode(text)); }});
+  const auto huffman = http2::huffman_encode(text);
+  out.push_back({"huffman/decode",
+                 [huffman]() { keep(http2::huffman_decode(huffman)); }});
 
-void BM_HuffmanDecode(benchmark::State& state) {
-  const std::string text =
-      "dns-query?dns=AAABAAABAAAAAAAAA3d3dwdleGFtcGxlA2NvbQAAAQAB";
-  const auto encoded = http2::huffman_encode(text);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(http2::huffman_decode(encoded));
-  }
-}
-BENCHMARK(BM_HuffmanDecode);
-
-void BM_H2FrameRoundTrip(benchmark::State& state) {
   http2::Frame frame;
   frame.type = http2::FrameType::kData;
   frame.stream_id = 1;
-  frame.payload = dohperf::http2::Bytes(128, 7);
-  for (auto _ : state) {
-    http2::FrameReader reader;
-    reader.feed(http2::encode_frame(frame));
-    benchmark::DoNotOptimize(reader.next());
-  }
-}
-BENCHMARK(BM_H2FrameRoundTrip);
+  frame.payload = http2::Bytes(128, 7);
+  out.push_back({"h2/frame_round_trip", [frame]() {
+                   http2::FrameReader reader;
+                   reader.feed(http2::encode_frame(frame));
+                   keep(reader.next());
+                 }});
 
-void BM_EventLoopScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    simnet::EventLoop loop;
-    int fired = 0;
-    for (int i = 0; i < 100; ++i) {
-      loop.schedule_in(i, [&fired]() { ++fired; });
-    }
-    loop.run();
-    benchmark::DoNotOptimize(fired);
-  }
-}
-BENCHMARK(BM_EventLoopScheduleRun);
+  out.push_back({"event_loop/schedule_run", []() {
+                   simnet::EventLoop loop;
+                   int fired = 0;
+                   for (int i = 0; i < 100; ++i) {
+                     loop.schedule_in(i, [&fired]() { ++fired; });
+                   }
+                   loop.run();
+                   keep(fired);
+                 }});
 
-void BM_NameCompressionEncode(benchmark::State& state) {
-  dns::Message m;
+  dns::Message repeated;
   const auto owner = dns::Name::parse("a.b.c.d.example.com");
   for (int i = 0; i < 10; ++i) {
-    m.answers.push_back(dns::ResourceRecord::a(owner, "192.0.2.1"));
+    repeated.answers.push_back(dns::ResourceRecord::a(owner, "192.0.2.1"));
   }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(m.encode(true));
-  }
+  out.push_back({"dns/name_compression_encode",
+                 [repeated]() { keep(repeated.encode(true)); }});
+  return out;
 }
-BENCHMARK(BM_NameCompressionEncode);
 
-/// Console reporter that also captures per-benchmark timings, so the repo's
-/// --json convention ("dohperf-bench-v1") works here too. Microbenchmark
-/// timings are wall-clock, not virtual-clock — this is the one bench whose
-/// JSON is NOT byte-identical across runs.
-class RecordingReporter : public benchmark::ConsoleReporter {
- public:
-  explicit RecordingReporter(dohperf::bench::BenchReport& report)
-      : report_(report) {}
+/// Wall seconds for `iterations` runs of `op`.
+double time_iterations(const std::function<void()>& op,
+                       std::size_t iterations) {
+  const double t0 = now_sec();
+  for (std::size_t i = 0; i < iterations; ++i) op();
+  return now_sec() - t0;
+}
 
-  void ReportRuns(const std::vector<Run>& runs) override {
-    for (const auto& run : runs) {
-      if (run.error_occurred) continue;
-      report_.set(run.benchmark_name(), "real_time",
-                  run.GetAdjustedRealTime());
-      report_.set(run.benchmark_name(), "cpu_time",
-                  run.GetAdjustedCPUTime());
-      report_.set(run.benchmark_name(), "time_unit",
-                  std::string(benchmark::GetTimeUnitString(run.time_unit)));
-      report_.set(run.benchmark_name(), "iterations",
-                  static_cast<std::int64_t>(run.iterations));
-    }
-    ConsoleReporter::ReportRuns(runs);
-  }
-
- private:
-  dohperf::bench::BenchReport& report_;
-};
+/// Allocations per iteration, counted by the arena of one serial shard.
+double allocs_per_op(const std::function<void()>& op) {
+  op();  // first-call set-up (static tables) is not per-op cost
+  simnet::ShardMemoryStats mem;
+  bench::run_sharded<int>(
+      1, 1,
+      [&op](std::size_t) {
+        for (std::size_t i = 0; i < kAllocOps; ++i) op();
+        return 0;
+      },
+      &mem);
+  return static_cast<double>(mem.arena_allocs + mem.huge_allocs) /
+         static_cast<double>(kAllocOps);
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip the repo-wide --json/--trace flags before google-benchmark sees
-  // (and rejects) them; everything else passes through to the library.
-  std::vector<char*> bench_argv;
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0 || arg.rfind("--trace=", 0) == 0) {
-      continue;
-    }
-    if (arg == "--json" || arg == "--trace") {
-      ++i;  // skip the separate value token too
-      continue;
-    }
-    bench_argv.push_back(argv[i]);
-  }
-  int bench_argc = static_cast<int>(bench_argv.size());
+  std::printf("=== micro_codecs: codec microbenchmarks ===\n\n");
+  std::printf("%-28s %12s %12s %12s %12s %12s\n", "case", "iterations",
+              "median ns", "min ns", "max ns", "allocs/op");
 
-  benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                             bench_argv.data())) {
-    return 1;
+  bench::BenchReport report("micro_codecs");
+  report.params["reps"] = static_cast<std::int64_t>(kReps);
+  for (const auto& c : cases()) {
+    // Calibrate: double the iteration count until one repetition lasts
+    // kRepSeconds.
+    std::size_t iterations = 1;
+    while (time_iterations(c.op, iterations) < kRepSeconds) iterations *= 2;
+
+    std::vector<double> ns_per_op;
+    for (int rep = 0; rep < kReps; ++rep) {
+      ns_per_op.push_back(time_iterations(c.op, iterations) * 1e9 /
+                          static_cast<double>(iterations));
+    }
+    std::sort(ns_per_op.begin(), ns_per_op.end());
+    const double median = ns_per_op[ns_per_op.size() / 2];
+    const double allocs = allocs_per_op(c.op);
+    std::printf("%-28s %12zu %12.1f %12.1f %12.1f %12.2f\n",
+                c.scenario.c_str(), iterations, median, ns_per_op.front(),
+                ns_per_op.back(), allocs);
+    report.set(c.scenario, "iterations", static_cast<std::int64_t>(iterations));
+    report.set(c.scenario, "ns_per_op_median", median);
+    report.set(c.scenario, "ns_per_op_min", ns_per_op.front());
+    report.set(c.scenario, "ns_per_op_max", ns_per_op.back());
+    report.set(c.scenario, "allocs_per_op", allocs);
   }
-  dohperf::bench::BenchReport report("micro_codecs");
-  RecordingReporter reporter(report);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  dohperf::bench::finish(argc, argv, report);
+  bench::finish(argc, argv, report);
   return 0;
 }

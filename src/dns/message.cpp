@@ -1,5 +1,6 @@
 #include "dns/message.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace dohperf::dns {
@@ -64,7 +65,14 @@ Message Message::make_error(const Message& query, Rcode rcode) {
 }
 
 Bytes Message::encode(bool compress) const {
+  // One allocation per message: the uncompressed size bounds the output.
+  std::size_t bound = 12;
+  for (const auto& q : questions) bound += q.qname.wire_length() + 4;
+  for (const auto* section : {&answers, &authorities, &additionals}) {
+    for (const auto& rr : *section) bound += rr.wire_length();
+  }
   ByteWriter w;
+  w.reserve(bound);
   NameCompressor compressor(compress);
   w.u16(id);
   w.u16(flags.encode());
@@ -95,6 +103,13 @@ Message Message::decode(std::span<const std::uint8_t> wire) {
   const std::uint16_t an = r.u16();
   const std::uint16_t ns = r.u16();
   const std::uint16_t ar = r.u16();
+  // Reserve the sections, but never more entries than the remaining bytes
+  // could hold (a question takes at least 5 octets, a record 11), so a
+  // forged count cannot force a large allocation.
+  m.questions.reserve(std::min<std::size_t>(qd, r.remaining() / 5));
+  m.answers.reserve(std::min<std::size_t>(an, r.remaining() / 11));
+  m.authorities.reserve(std::min<std::size_t>(ns, r.remaining() / 11));
+  m.additionals.reserve(std::min<std::size_t>(ar, r.remaining() / 11));
   for (std::uint16_t i = 0; i < qd; ++i) {
     Question q;
     q.qname = read_name(r);

@@ -1,7 +1,6 @@
 #include "dns/name.hpp"
 
 #include <algorithm>
-#include <cctype>
 
 namespace dohperf::dns {
 
@@ -10,23 +9,53 @@ namespace {
 constexpr std::size_t kMaxLabel = 63;
 constexpr std::size_t kMaxName = 255;
 constexpr std::uint8_t kPointerMask = 0xc0;
+constexpr std::size_t kMaxPointer = 0x3fff;
 
-std::string fold(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
+/// ASCII case folding (RFC 4343): only 'A'-'Z' fold. Label length octets
+/// are at most 63, below 'A', so whole wire buffers fold safely.
+constexpr std::uint8_t fold(std::uint8_t c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<std::uint8_t>(c + ('a' - 'A'))
+                              : c;
 }
 
-/// Canonical text of the name starting at label index i ("example.com").
-std::string suffix_key(const std::vector<std::string>& labels, std::size_t i) {
-  std::string key;
-  for (std::size_t j = i; j < labels.size(); ++j) {
-    if (!key.empty()) key += '.';
-    key += fold(labels[j]);
+/// Three-way comparison of `n` bytes after case folding.
+int compare_folded(const char* a, const char* b, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t x = fold(static_cast<std::uint8_t>(a[i]));
+    const std::uint8_t y = fold(static_cast<std::uint8_t>(b[i]));
+    if (x != y) return x < y ? -1 : 1;
   }
-  return key;
+  return 0;
+}
+
+bool equal_folded(std::string_view a, std::string_view b) noexcept {
+  return a.size() == b.size() && compare_folded(a.data(), b.data(), a.size()) == 0;
+}
+
+std::size_t label_length(std::string_view wire, std::size_t pos) noexcept {
+  return static_cast<std::uint8_t>(wire[pos]);
+}
+
+/// True if the name written at `pos` in `out` (following the writer's own
+/// compression pointers) equals the wire labels `suffix`, ignoring case.
+bool written_name_equals(const Bytes& out, std::size_t pos,
+                         std::string_view suffix) noexcept {
+  std::size_t i = 0;
+  for (;;) {
+    const std::uint8_t len = out[pos];
+    if ((len & kPointerMask) == kPointerMask) {
+      pos = (static_cast<std::size_t>(len & 0x3f) << 8) | out[pos + 1];
+      continue;
+    }
+    if (i == suffix.size()) return len == 0;
+    if (len != label_length(suffix, i)) return false;
+    if (compare_folded(reinterpret_cast<const char*>(out.data() + pos + 1),
+                       suffix.data() + i + 1, len) != 0) {
+      return false;
+    }
+    pos += 1 + len;
+    i += 1 + len;
+  }
 }
 
 }  // namespace
@@ -36,6 +65,7 @@ Name Name::parse(std::string_view text) {
   if (text.empty()) throw WireError("empty domain name");
   if (text == ".") return name;
   if (text.back() == '.') text.remove_suffix(1);
+  name.wire_.reserve(text.size() + 1);
   std::size_t start = 0;
   while (start <= text.size()) {
     const std::size_t dot = text.find('.', start);
@@ -46,7 +76,8 @@ Name Name::parse(std::string_view text) {
     if (label.size() > kMaxLabel) {
       throw WireError("label exceeds 63 octets: " + std::string(label));
     }
-    name.labels_.emplace_back(label);
+    name.wire_ += static_cast<char>(label.size());
+    name.wire_ += label;
     if (dot == std::string_view::npos) break;
     start = dot + 1;
   }
@@ -56,27 +87,37 @@ Name Name::parse(std::string_view text) {
   return name;
 }
 
+std::string_view Name::label(std::size_t i) const noexcept {
+  std::size_t pos = 0;
+  for (; i > 0 && pos < wire_.size(); --i) pos += 1 + label_length(wire_, pos);
+  if (pos >= wire_.size()) return {};
+  return std::string_view(wire_).substr(pos + 1, label_length(wire_, pos));
+}
+
+std::size_t Name::label_count() const noexcept {
+  std::size_t n = 0;
+  for (std::size_t pos = 0; pos < wire_.size(); pos += 1 + label_length(wire_, pos)) {
+    ++n;
+  }
+  return n;
+}
+
 std::string Name::to_string() const {
-  if (labels_.empty()) return ".";
+  if (wire_.empty()) return ".";
   std::string out;
-  for (const auto& l : labels_) {
-    if (!out.empty()) out += '.';
-    out += l;
+  out.reserve(wire_.size());
+  for (std::size_t pos = 0; pos < wire_.size();) {
+    const std::size_t len = label_length(wire_, pos);
+    if (pos != 0) out += '.';
+    out.append(wire_, pos + 1, len);
+    pos += 1 + len;
   }
   return out;
 }
 
-std::size_t Name::wire_length() const noexcept {
-  std::size_t len = 1;  // terminating zero octet
-  for (const auto& l : labels_) len += 1 + l.size();
-  return len;
-}
-
 Name Name::parent() const {
   Name p;
-  if (labels_.size() > 1) {
-    p.labels_.assign(labels_.begin() + 1, labels_.end());
-  }
+  if (!wire_.empty()) p.wire_ = wire_.substr(1 + label_length(wire_, 0));
   return p;
 }
 
@@ -85,67 +126,87 @@ Name Name::child(std::string_view label) const {
     throw WireError("invalid child label");
   }
   Name c;
-  c.labels_.reserve(labels_.size() + 1);
-  c.labels_.emplace_back(label);
-  c.labels_.insert(c.labels_.end(), labels_.begin(), labels_.end());
+  c.wire_.reserve(1 + label.size() + wire_.size());
+  c.wire_ += static_cast<char>(label.size());
+  c.wire_ += label;
+  c.wire_ += wire_;
   if (c.wire_length() > kMaxName) throw WireError("child name too long");
   return c;
 }
 
 bool Name::is_subdomain_of(const Name& ancestor) const {
-  if (ancestor.labels_.size() > labels_.size()) return false;
-  const std::size_t offset = labels_.size() - ancestor.labels_.size();
-  for (std::size_t i = 0; i < ancestor.labels_.size(); ++i) {
-    if (fold(labels_[offset + i]) != fold(ancestor.labels_[i])) return false;
-  }
-  return true;
+  const std::size_t want = ancestor.wire_.size();
+  std::size_t pos = 0;
+  while (wire_.size() - pos > want) pos += 1 + label_length(wire_, pos);
+  return wire_.size() - pos == want &&
+         equal_folded(std::string_view(wire_).substr(pos), ancestor.wire_);
 }
 
 bool Name::operator==(const Name& other) const noexcept {
-  if (labels_.size() != other.labels_.size()) return false;
-  for (std::size_t i = 0; i < labels_.size(); ++i) {
-    if (fold(labels_[i]) != fold(other.labels_[i])) return false;
-  }
-  return true;
+  return equal_folded(wire_, other.wire_);
 }
 
 bool Name::operator<(const Name& other) const noexcept {
-  const std::size_t n = std::min(labels_.size(), other.labels_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto a = fold(labels_[i]);
-    const auto b = fold(other.labels_[i]);
-    if (a != b) return a < b;
+  const std::string_view a = wire_;
+  const std::string_view b = other.wire_;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    const std::size_t la = label_length(a, i);
+    const std::size_t lb = label_length(b, j);
+    const int c = compare_folded(a.data() + i + 1, b.data() + j + 1,
+                                 std::min(la, lb));
+    if (c != 0) return c < 0;
+    if (la != lb) return la < lb;
+    i += 1 + la;
+    j += 1 + lb;
   }
-  return labels_.size() < other.labels_.size();
+  return i == a.size() && j < b.size();
+}
+
+void NameCompressor::remember(std::uint16_t off) {
+  if (count_ < kInline) {
+    inline_[count_] = off;
+  } else {
+    spill_.push_back(off);
+  }
+  ++count_;
 }
 
 void NameCompressor::write(ByteWriter& w, const Name& name) {
-  const auto& labels = name.labels();
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const std::string key = suffix_key(labels, i);
+  const std::string_view wire = name.wire_;
+  // Only earlier names are candidates: this name's own suffixes are not
+  // terminated yet, and none of them can equal a longer one anyway.
+  const std::size_t earlier = count_;
+  for (std::size_t pos = 0; pos < wire.size();) {
     if (enabled_) {
-      const auto it = offsets_.find(key);
-      if (it != offsets_.end() && it->second <= 0x3fff) {
-        // Emit a two-octet pointer to the earlier occurrence and stop.
-        w.u16(static_cast<std::uint16_t>(0xc000 | it->second));
-        return;
+      const std::string_view suffix = wire.substr(pos);
+      for (std::size_t k = 0; k < earlier; ++k) {
+        const std::uint16_t off = offset(k);
+        if (written_name_equals(w.data(), off, suffix)) {
+          // Emit a two-octet pointer to the earlier occurrence and stop.
+          w.u16(static_cast<std::uint16_t>(0xc000 | off));
+          return;
+        }
+      }
+      // Remember this suffix for later names (only if its offset fits the
+      // 14-bit pointer field).
+      if (w.size() <= kMaxPointer) {
+        remember(static_cast<std::uint16_t>(w.size()));
       }
     }
-    // Record this suffix's offset for future reuse (only if it fits the
-    // 14-bit pointer field).
-    if (w.size() <= 0x3fff) {
-      offsets_.emplace(key, w.size());
-    }
-    w.u8(static_cast<std::uint8_t>(labels[i].size()));
-    w.string(labels[i]);
+    const std::size_t len = 1 + label_length(wire, pos);
+    w.string(wire.substr(pos, len));
+    pos += len;
   }
   w.u8(0);  // root label terminator
 }
 
 Name read_name(ByteReader& r) {
-  Name name;
-  std::vector<std::string> labels;
-  std::size_t total_len = 1;
+  // Labels land in a stack buffer first so the name's own buffer is
+  // allocated once, at its final size.
+  std::array<char, kMaxName> buf;
+  std::size_t size = 0;
   // Loop protection: a valid chain can never visit more positions than the
   // message has bytes.
   std::size_t jumps = 0;
@@ -172,18 +233,19 @@ Name read_name(ByteReader& r) {
       throw WireError("reserved label type");
     }
     if (len == 0) break;  // root terminator
-    total_len += 1 + len;
-    if (total_len > 255) throw WireError("decoded name exceeds 255 octets");
-    labels.push_back(r.string(len));
+    // +1 for the terminating zero octet the buffer leaves out.
+    if (size + 1 + len + 1 > kMaxName) {
+      throw WireError("decoded name exceeds 255 octets");
+    }
+    const auto bytes = r.view(len);
+    buf[size] = static_cast<char>(len);
+    std::copy(bytes.begin(), bytes.end(), buf.begin() + size + 1);
+    size += 1 + len;
   }
   if (jumped) r.seek(resume);
 
-  // Rebuild through parse-free construction: child() prepends, so build from
-  // the rightmost label outwards.
   Name out;
-  for (auto it = labels.rbegin(); it != labels.rend(); ++it) {
-    out = out.child(*it);
-  }
+  out.wire_.assign(buf.data(), size);
   return out;
 }
 

@@ -2,8 +2,8 @@
 // message compression (RFC 1035 §4.1.4).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,9 +12,11 @@
 
 namespace dohperf::dns {
 
-/// A fully-qualified domain name stored as a sequence of labels.
-/// Comparison is case-insensitive per RFC 1035 §2.3.3; the original casing
-/// is preserved for presentation.
+/// A fully-qualified domain name stored as its uncompressed wire labels in
+/// one buffer: each label is a length octet followed by its bytes, with no
+/// terminating zero octet (the root name is the empty buffer). Comparison
+/// folds ASCII case (RFC 4343); the original casing is preserved for
+/// presentation and on the wire.
 class Name {
  public:
   Name() = default;  ///< the root name "."
@@ -27,16 +29,17 @@ class Name {
   /// The root name ".".
   static Name root() { return Name{}; }
 
-  const std::vector<std::string>& labels() const noexcept { return labels_; }
-  bool is_root() const noexcept { return labels_.empty(); }
-  std::size_t label_count() const noexcept { return labels_.size(); }
+  /// The i-th label from the left (0 = the leftmost, e.g. "www").
+  std::string_view label(std::size_t i) const noexcept;
+  bool is_root() const noexcept { return wire_.empty(); }
+  std::size_t label_count() const noexcept;
 
   /// Presentation form without trailing dot (root renders as ".").
   std::string to_string() const;
 
   /// Length of the uncompressed wire encoding in octets (labels + lengths
   /// + terminating zero octet).
-  std::size_t wire_length() const noexcept;
+  std::size_t wire_length() const noexcept { return wire_.size() + 1; }
 
   /// The name with its first label removed ("www.example.com" -> "example.com").
   /// The parent of the root is the root.
@@ -50,19 +53,24 @@ class Name {
 
   bool operator==(const Name& other) const noexcept;
   bool operator!=(const Name& other) const noexcept { return !(*this == other); }
-  /// Canonical (case-folded) ordering so Name can key std::map.
+  /// Canonical ordering so Name can key std::map: label by label from the
+  /// left, case-folded bytes, a shorter label first, then fewer labels.
   bool operator<(const Name& other) const noexcept;
 
  private:
-  std::vector<std::string> labels_;
+  friend class NameCompressor;
+  friend Name read_name(ByteReader& r);
+
+  std::string wire_;
 };
 
-/// Tracks name -> offset mappings while writing a message so later
-/// occurrences of a suffix can be encoded as compression pointers.
+/// Writes names into a message, encoding a suffix already present in the
+/// message as a compression pointer to it. It remembers where each suffix
+/// it wrote in full starts (the first occurrence wins) and finds a match by
+/// comparing the suffix's labels with the bytes already written.
 class NameCompressor {
  public:
-  /// When `enabled` is false every name is written in full (suffix offsets
-  /// are still recorded, but never reused).
+  /// When `enabled` is false every name is written in full.
   explicit NameCompressor(bool enabled = true) : enabled_(enabled) {}
 
   /// Write `name` at the writer's current position, reusing previously
@@ -71,9 +79,19 @@ class NameCompressor {
   void write(ByteWriter& w, const Name& name);
 
  private:
+  /// Offsets held without allocating; a message that writes more suffixes
+  /// spills the rest to `spill_` (the list has no cap).
+  static constexpr std::size_t kInline = 64;
+
+  std::uint16_t offset(std::size_t i) const noexcept {
+    return i < kInline ? inline_[i] : spill_[i - kInline];
+  }
+  void remember(std::uint16_t off);
+
   bool enabled_;
-  // Canonical (lowercased) suffix text -> wire offset.
-  std::map<std::string, std::size_t> offsets_;
+  std::size_t count_ = 0;
+  std::array<std::uint16_t, kInline> inline_;
+  std::vector<std::uint16_t> spill_;
 };
 
 /// Read a possibly-compressed name starting at the reader's position.

@@ -179,7 +179,7 @@ Rdata decode_rdata(ByteReader& r, RType type, std::uint16_t rdlength) {
     case RType::kA: {
       if (rdlength != 4) throw WireError("A RDLENGTH != 4");
       ARdata rd;
-      const auto b = r.bytes(4);
+      const auto b = r.view(4);
       std::copy(b.begin(), b.end(), rd.addr.begin());
       out = rd;
       break;
@@ -187,7 +187,7 @@ Rdata decode_rdata(ByteReader& r, RType type, std::uint16_t rdlength) {
     case RType::kAAAA: {
       if (rdlength != 16) throw WireError("AAAA RDLENGTH != 16");
       AaaaRdata rd;
-      const auto b = r.bytes(16);
+      const auto b = r.view(16);
       std::copy(b.begin(), b.end(), rd.addr.begin());
       out = rd;
       break;
@@ -247,7 +247,7 @@ Rdata decode_rdata(ByteReader& r, RType type, std::uint16_t rdlength) {
         opt.data = r.bytes(len);
         rd.options.push_back(std::move(opt));
       }
-      out = rd;
+      out = std::move(rd);
       break;
     }
     default:
@@ -261,6 +261,43 @@ Rdata decode_rdata(ByteReader& r, RType type, std::uint16_t rdlength) {
 }
 
 }  // namespace
+
+std::size_t ResourceRecord::wire_length() const {
+  const std::size_t rdlength = std::visit(
+      [](const auto& rd) -> std::size_t {
+        using T = std::decay_t<decltype(rd)>;
+        if constexpr (std::is_same_v<T, ARdata> ||
+                      std::is_same_v<T, AaaaRdata>) {
+          return rd.addr.size();
+        } else if constexpr (std::is_same_v<T, CnameRdata>) {
+          return rd.target.wire_length();
+        } else if constexpr (std::is_same_v<T, NsRdata>) {
+          return rd.nsdname.wire_length();
+        } else if constexpr (std::is_same_v<T, PtrRdata>) {
+          return rd.ptrdname.wire_length();
+        } else if constexpr (std::is_same_v<T, MxRdata>) {
+          return 2 + rd.exchange.wire_length();
+        } else if constexpr (std::is_same_v<T, TxtRdata>) {
+          std::size_t n = 0;
+          for (const auto& s : rd.strings) n += 1 + s.size();
+          return n;
+        } else if constexpr (std::is_same_v<T, SoaRdata>) {
+          return rd.mname.wire_length() + rd.rname.wire_length() + 20;
+        } else if constexpr (std::is_same_v<T, CaaRdata>) {
+          return 2 + rd.tag.size() + rd.value.size();
+        } else if constexpr (std::is_same_v<T, OptRdata>) {
+          std::size_t n = 0;
+          for (const auto& opt : rd.options) n += 4 + opt.data.size();
+          return n;
+        } else if constexpr (std::is_same_v<T, RawRdata>) {
+          return rd.data.size();
+        }
+      },
+      rdata);
+  // OPT's owner is always the root name.
+  const std::size_t owner = type == RType::kOPT ? 1 : name.wire_length();
+  return owner + 10 + rdlength;
+}
 
 void ResourceRecord::encode(ByteWriter& w, NameCompressor& compressor) const {
   if (type == RType::kOPT) {
@@ -299,7 +336,7 @@ ResourceRecord ResourceRecord::decode(ByteReader& r) {
     rd.dnssec_ok = (r.u16() & 0x8000) != 0;
     const std::uint16_t rdlength = r.u16();
     auto decoded = decode_rdata(r, RType::kOPT, rdlength);
-    rd.options = std::get<OptRdata>(decoded).options;
+    rd.options = std::move(std::get<OptRdata>(decoded).options);
     rr.rclass = RClass::kIN;
     rr.ttl = 0;
     rr.rdata = std::move(rd);

@@ -166,6 +166,10 @@ struct ResourceRecord {
   static ResourceRecord opt(std::uint16_t udp_payload_size = 4096,
                             bool dnssec_ok = false);
 
+  /// Length of the uncompressed wire encoding in octets: an upper bound on
+  /// what encode() writes.
+  std::size_t wire_length() const;
+
   /// Wire-encode with name compression via the shared compressor.
   void encode(ByteWriter& w, NameCompressor& compressor) const;
 

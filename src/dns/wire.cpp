@@ -41,6 +41,13 @@ Bytes ByteReader::bytes(std::size_t n) {
   return out;
 }
 
+std::span<const std::uint8_t> ByteReader::view(std::size_t n) {
+  require(n);
+  const auto out = data_.subspan(offset_, n);
+  offset_ += n;
+  return out;
+}
+
 std::string ByteReader::string(std::size_t n) {
   require(n);
   std::string out(reinterpret_cast<const char*>(data_.data() + offset_), n);

@@ -42,6 +42,9 @@ class ByteReader {
   /// Read `n` raw bytes.
   Bytes bytes(std::size_t n);
 
+  /// Read `n` raw bytes without copying them out of the input.
+  std::span<const std::uint8_t> view(std::size_t n);
+
   /// Read `n` bytes as a string (used for DNS labels and TXT segments).
   std::string string(std::size_t n);
 
@@ -67,6 +70,9 @@ class ByteReader {
 class ByteWriter {
  public:
   std::size_t size() const noexcept { return out_.size(); }
+
+  /// Reserve room for `n` octets in total.
+  void reserve(std::size_t n) { out_.reserve(n); }
 
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);

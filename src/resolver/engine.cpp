@@ -11,10 +11,11 @@ Engine::Engine(simnet::EventLoop& loop, EngineConfig config)
       upstream_latency_(std::log(config_.upstream.upstream_mu_ms),
                         config_.upstream.upstream_sigma, config_.seed),
       cache_rng_(config_.seed ^ 0x9e3779b97f4a7c15ULL),
-      fault_rng_(config_.seed ^ 0xc2b2ae3d27d4eb4fULL) {}
+      fault_rng_(config_.seed ^ 0xc2b2ae3d27d4eb4fULL),
+      fixed_rdata_(dns::ARdata::parse(config_.fixed_address)) {}
 
 void Engine::add_record(const dns::Name& name, const std::string& address) {
-  zone_[name] = address;
+  zone_[name] = dns::ARdata::parse(address);
 }
 
 void Engine::add_nxdomain(const dns::Name& name) {
@@ -57,11 +58,11 @@ dns::Message Engine::answer(const dns::Message& query) const {
     return response;
   }
   const auto it = zone_.find(q.qname);
-  const std::string& address =
-      it != zone_.end() ? it->second : config_.fixed_address;
+  dns::ARdata rdata = it != zone_.end() ? it->second : fixed_rdata_;
+  const int count = std::max(1, config_.answer_count);
   std::vector<dns::ResourceRecord> answers;
-  dns::ARdata rdata = dns::ARdata::parse(address);
-  for (int i = 0; i < std::max(1, config_.answer_count); ++i) {
+  answers.reserve(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) {
     answers.push_back(dns::ResourceRecord{q.qname, dns::RType::kA,
                                           dns::RClass::kIN, config_.ttl,
                                           rdata});

@@ -130,7 +130,8 @@ class Engine final : public QueryHandler {
   stats::LogNormalSampler upstream_latency_;
   stats::SplitMix64 cache_rng_;
   stats::SplitMix64 fault_rng_;
-  std::map<dns::Name, std::string> zone_;
+  dns::ARdata fixed_rdata_;  ///< config_.fixed_address, parsed once
+  std::map<dns::Name, dns::ARdata> zone_;
   std::map<dns::Name, bool> nxdomain_;  ///< names answered NXDOMAIN
 };
 

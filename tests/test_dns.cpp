@@ -83,6 +83,43 @@ TEST(Name, CompressionPointersShrinkRepeats) {
   EXPECT_EQ(read_name(r), b);
 }
 
+TEST(Name, LabelsByIndex) {
+  const auto n = Name::parse("www.Example.COM");
+  EXPECT_EQ(n.label(0), "www");
+  EXPECT_EQ(n.label(1), "Example");
+  EXPECT_EQ(n.label(2), "COM");
+  EXPECT_EQ(Name::root().label_count(), 0u);
+}
+
+TEST(Name, OrderIsLabelByLabelCaseFoldedShorterFirst) {
+  // Label by label from the left, folded bytes compared unsigned, a label
+  // that is a prefix of the other sorts first, then fewer labels first.
+  EXPECT_LT(Name::parse("a.com"), Name::parse("B.com"));
+  EXPECT_LT(Name::parse("A.com"), Name::parse("ab.com"));
+  EXPECT_LT(Name::parse("a.com"), Name::parse("com"));
+  EXPECT_LT(Name::parse("example.com"), Name::parse("example.com.x"));
+  EXPECT_LT(Name::root(), Name::parse("a"));
+  EXPECT_LT(Name::parse("z"), Name::parse("com").child("\xff"));
+  EXPECT_FALSE(Name::parse("EXAMPLE.com") < Name::parse("example.COM"));
+  EXPECT_FALSE(Name::parse("example.COM") < Name::parse("EXAMPLE.com"));
+}
+
+TEST(Name, DottedLabelIsNotConfusedWithLabelBoundaries) {
+  // The label list ["a.b", "c"] and the name a.b.c print alike but are
+  // different names: the answer owner must not be compressed into a
+  // pointer to the question.
+  const Name dotted = Name::parse("c").child("a.b");
+  ASSERT_EQ(dotted.label_count(), 2u);
+  EXPECT_NE(dotted, Name::parse("a.b.c"));
+  Message m = Message::make_query(1, Name::parse("a.b.c"));
+  m.flags.qr = true;
+  m.answers.push_back(ResourceRecord::a(dotted, "192.0.2.1"));
+  const Message decoded = Message::decode(m.encode());
+  ASSERT_EQ(decoded.answers.size(), 1u);
+  EXPECT_EQ(decoded.answers[0].name.label_count(), 2u);
+  EXPECT_EQ(decoded, m);
+}
+
 TEST(Name, CompressionLoopDetected) {
   // A pointer that points at itself.
   Bytes evil{0xc0, 0x00};
