@@ -193,8 +193,10 @@ std::uint64_t DohClient::resolve(const dns::Name& name, dns::RType type,
   state.retry.retries_left = config_.retry.max_retries;
   state.retry.span = span;
   state.stack = stack;
-  state.start = stack->snapshot();
   state.fresh_stack = !config_.persistent;
+  // A fresh stack carries this query alone, so its cost window opens at
+  // zero: open_connection() has already sent the SYN.
+  state.start = state.fresh_stack ? CostReport{} : stack->snapshot();
   states_.push_back(std::move(state));
 
   issue(stack, query_id, name, type);
@@ -411,7 +413,7 @@ void DohClient::reissue(std::uint64_t query_id) {
   if (state.done) return;
   auto stack = stack_for_query(state.retry.span);
   state.stack = stack;
-  state.start = stack->snapshot();
+  state.start = state.fresh_stack ? CostReport{} : stack->snapshot();
   issue(stack, query_id, state.name, state.type);
 }
 

@@ -173,7 +173,7 @@ class DohClient final : public ResolverClient {
     dns::RType type = dns::RType::kA;
     QueryRetry retry;
     std::shared_ptr<Stack> stack;  ///< stack this query ran on
-    CostReport start;              ///< stack snapshot at issue time
+    CostReport start;  ///< stack snapshot at issue time (zero if fresh)
     CostReport end;                ///< snapshot at completion (persistent)
     /// Stack's TCP wire_bytes_received when this attempt was issued; if it
     /// has not advanced by the query timeout, the connection (not just the

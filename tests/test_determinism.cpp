@@ -148,6 +148,32 @@ TEST_F(ConservationTest, DohFreshCostMatchesTap) {
   EXPECT_GE(cost.packets + 2, tap.size());
 }
 
+TEST_F(ConservationTest, DohFreshCostEqualsTapIncludingTheSyn) {
+  // A fresh connection's cost window opens before the client's SYN, so the
+  // CostReport is exactly what the tap saw on that connection.
+  resolver::DohServerConfig server_config;
+  server_config.tls.chain = tlssim::CertificateChain::cloudflare();
+  resolver::DohServer doh_server(server, engine, server_config, 443);
+  for (const auto version : {core::HttpVersion::kHttp1,
+                             core::HttpVersion::kHttp2}) {
+    simnet::RecordingTap tap;
+    net.add_tap(&tap);
+    core::DohClientConfig config;
+    config.server_name = "cloudflare-dns.com";
+    config.persistent = false;
+    config.http_version = version;
+    core::DohClient resolver_client(client, {server.id(), 443}, config);
+    const auto id = resolver_client.resolve(
+        dns::Name::parse("x.example.com"), dns::RType::kA, {});
+    loop.run();  // drain teardown
+    net.remove_tap(&tap);
+
+    const auto& cost = resolver_client.result(id).cost;
+    EXPECT_EQ(cost.wire_bytes, tap.total_bytes());
+    EXPECT_EQ(cost.packets, tap.size());
+  }
+}
+
 TEST_F(ConservationTest, LayerPartsAreConsistent) {
   resolver::DohServerConfig server_config;
   server_config.tls.chain = tlssim::CertificateChain::google();
