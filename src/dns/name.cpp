@@ -205,7 +205,7 @@ void NameCompressor::write(ByteWriter& w, const Name& name) {
 Name read_name(ByteReader& r) {
   // Labels land in a stack buffer first so the name's own buffer is
   // allocated once, at its final size.
-  std::array<char, kMaxName> buf;
+  std::array<char, kMaxName> buf{};
   std::size_t size = 0;
   // Loop protection: a valid chain can never visit more positions than the
   // message has bytes.

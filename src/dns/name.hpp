@@ -90,7 +90,7 @@ class NameCompressor {
 
   bool enabled_;
   std::size_t count_ = 0;
-  std::array<std::uint16_t, kInline> inline_;
+  std::array<std::uint16_t, kInline> inline_{};
   std::vector<std::uint16_t> spill_;
 };
 
