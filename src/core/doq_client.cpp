@@ -185,6 +185,8 @@ void DoqClient::fail_query(PendingQuery pq) {
   result.completed_at = host_.loop().now();
   ++completed_;
   config_.obs.end(pq.retry.request_span);
+  obs_span_cost(config_.obs, pq.retry.span, result.cost);
+  obs_count_cost(config_.obs, cmetrics_, result.cost);
   obs_finish_resolution(config_.obs, lifecycle_.metrics(), pq.retry.span,
                         "doq", result);
   if (pq.callback) pq.callback(result);

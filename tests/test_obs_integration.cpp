@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/doh_client.hpp"
+#include "core/doq_client.hpp"
 #include "core/dot_client.hpp"
 #include "core/tcp_dns_client.hpp"
 #include "core/udp_client.hpp"
@@ -18,6 +19,7 @@
 #include "obs/span.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
+#include "resolver/doq_server.hpp"
 #include "resolver/dot_server.hpp"
 #include "resolver/tcp_dns_server.hpp"
 #include "resolver/udp_server.hpp"
@@ -315,6 +317,130 @@ TEST_F(ObsResolveTest, SpanByteAttributesMatchCostReport) {
   EXPECT_EQ(spans_named("tls_handshake").size(), 1u);
   EXPECT_EQ(tracer.open_spans(), 0u);
 }
+
+// The same invariant on every transport, for an answered query and for one
+// that fails against an engine that accepts and never answers: a failed
+// resolution, too, carries the bytes it put on the wire, on its span and in
+// the bytes.* counters.
+struct CostCase {
+  std::string transport;  ///< udp, tcp, dot, doh_h1, doh_h2 or doq
+  bool answered = true;
+  friend void PrintTo(const CostCase& c, std::ostream* os) {
+    *os << c.transport << (c.answered ? " answered" : " failed");
+  }
+};
+
+std::string cost_case_name(const ::testing::TestParamInfo<CostCase>& info) {
+  return info.param.transport + (info.param.answered ? "_answered" : "_failed");
+}
+
+class ObsCostTest : public ObsResolveTest,
+                    public ::testing::WithParamInterface<CostCase> {};
+
+TEST_P(ObsCostTest, SpanByteAttributesMatchCostReport) {
+  const CostCase& c = GetParam();
+  resolver::EngineConfig engine_config;
+  if (!c.answered) engine_config.faults.stall_rate = 1.0;
+  resolver::Engine engine(loop, engine_config);
+
+  // Fail-fast clients: a stalled query fails at its deadline. Plain TCP has
+  // no deadline; it fails when the client disconnects.
+  RetryPolicy retry;
+  retry.query_timeout = simnet::ms(500);
+  std::unique_ptr<resolver::UdpServer> udp_server;
+  std::unique_ptr<resolver::StreamDnsServer> stream_server;
+  std::unique_ptr<resolver::DohServer> doh_server;
+  std::unique_ptr<resolver::DoqServer> doq_server;
+  std::unique_ptr<ResolverClient> stub;
+  TcpDnsClient* tcp = nullptr;
+  if (c.transport == "udp") {
+    udp_server = std::make_unique<resolver::UdpServer>(server, engine, 53);
+    UdpClientConfig config;
+    config.timeout = retry.query_timeout;
+    config.obs = obs_ctx();
+    stub = std::make_unique<UdpResolverClient>(
+        client, simnet::Address{server.id(), 53}, config);
+  } else if (c.transport == "tcp") {
+    stream_server = std::make_unique<resolver::TcpDnsServer>(server, engine);
+    auto owned = std::make_unique<TcpDnsClient>(
+        client, simnet::Address{server.id(), 53}, obs_ctx());
+    tcp = owned.get();
+    stub = std::move(owned);
+  } else if (c.transport == "dot") {
+    stream_server = std::make_unique<resolver::DotServer>(
+        server, engine, resolver::DotServerConfig{}, 853);
+    DotClientConfig config;
+    config.retry = retry;
+    config.obs = obs_ctx();
+    stub = std::make_unique<DotClient>(
+        client, simnet::Address{server.id(), 853}, config);
+  } else if (c.transport == "doq") {
+    doq_server = std::make_unique<resolver::DoqServer>(
+        server, engine, resolver::DoqServerConfig{}, 853);
+    DoqClientConfig config;
+    config.retry = retry;
+    config.obs = obs_ctx();
+    stub = std::make_unique<DoqClient>(
+        client, simnet::Address{server.id(), 853}, config);
+  } else {
+    doh_server = std::make_unique<resolver::DohServer>(
+        server, engine, resolver::DohServerConfig{}, 443);
+    DohClientConfig config;
+    config.http_version =
+        c.transport == "doh_h1" ? HttpVersion::kHttp1 : HttpVersion::kHttp2;
+    config.retry = retry;
+    config.obs = obs_ctx();
+    stub = std::make_unique<DohClient>(
+        client, simnet::Address{server.id(), 443}, config);
+  }
+
+  bool done = false;
+  bool success = false;
+  const auto id = stub->resolve(name("abcde.example.com"), dns::RType::kA,
+                                [&](const ResolutionResult& r) {
+                                  done = true;
+                                  success = r.success;
+                                });
+  if (tcp != nullptr && !c.answered) {
+    loop.schedule_in(simnet::ms(500), [tcp]() { tcp->disconnect(); });
+  }
+  loop.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(success, c.answered);
+  const CostReport& cost = stub->result(id).cost;
+  EXPECT_GT(cost.dns_message_bytes, 0u);
+
+  const auto resolutions = spans_named("resolution");
+  ASSERT_EQ(resolutions.size(), 1u);
+  const obs::Span& span = *resolutions[0];
+  const auto u64 = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  EXPECT_EQ(u64(attr_int(span, "bytes.wire")), cost.wire_bytes);
+  EXPECT_EQ(u64(attr_int(span, "bytes.dns")), cost.dns_message_bytes);
+  EXPECT_EQ(u64(attr_int(span, "bytes.tcp")), cost.tcp_overhead_bytes);
+  EXPECT_EQ(u64(attr_int(span, "bytes.tls")), cost.tls_overhead_bytes);
+  EXPECT_EQ(u64(attr_int(span, "bytes.http_hdr")), cost.http_header_bytes);
+  EXPECT_EQ(u64(attr_int(span, "bytes.http_body")), cost.http_body_bytes);
+  EXPECT_EQ(u64(attr_int(span, "bytes.http_mgmt")), cost.http_mgmt_bytes);
+  EXPECT_EQ(u64(attr_int(span, "packets")), cost.packets);
+  EXPECT_EQ(registry.counter("bytes.wire"), cost.wire_bytes);
+  EXPECT_EQ(registry.counter("bytes.dns"), cost.dns_message_bytes);
+  EXPECT_EQ(registry.counter("bytes.tcp"), cost.tcp_overhead_bytes);
+  EXPECT_EQ(registry.counter("bytes.tls"), cost.tls_overhead_bytes);
+  EXPECT_EQ(registry.counter("bytes.http_hdr"), cost.http_header_bytes);
+  EXPECT_EQ(registry.counter("bytes.http_body"), cost.http_body_bytes);
+  EXPECT_EQ(registry.counter("bytes.http_mgmt"), cost.http_mgmt_bytes);
+  EXPECT_EQ(tracer.open_spans(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Transports, ObsCostTest,
+    ::testing::Values(CostCase{"udp", true}, CostCase{"udp", false},
+                      CostCase{"tcp", true}, CostCase{"tcp", false},
+                      CostCase{"dot", true}, CostCase{"dot", false},
+                      CostCase{"doh_h1", true}, CostCase{"doh_h1", false},
+                      CostCase{"doh_h2", true}, CostCase{"doh_h2", false},
+                      CostCase{"doq", true}, CostCase{"doq", false}),
+    cost_case_name);
 
 }  // namespace
 }  // namespace dohperf::core
