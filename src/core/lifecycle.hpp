@@ -198,7 +198,10 @@ class MigrationRace {
     if (Client::live(current_)) {
       lifecycle_.count(&TransportMetrics::conn_reuse);
     } else if (Client::live(racer_)) {
+      // Adopted, not promoted: no migration is counted, but the race is
+      // over and the fresh path won.
       current_ = std::exchange(racer_, Conn{});
+      lifecycle_.end_migrate("fresh");
     } else {
       lifecycle_.count(&TransportMetrics::conn_open);
       current_ = client_.open_connection(parent);

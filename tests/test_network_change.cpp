@@ -420,7 +420,8 @@ TEST_F(MigrationClientTest, RaceAdoptsRacerWhenMainConnectionDies) {
     SCOPED_TRACE(transport);
     core::RetryPolicy retry = retry_policy();
     retry.query_timeout = simnet::seconds(3);
-    RaceWorld w(transport, retry, nullptr);
+    obs::Tracer tracer;
+    RaceWorld w(transport, retry, nullptr, &tracer);
     w.resolve_at(0, "one.example.com");
     // On a slow link (250 ms one way) the server restarts before the next
     // query reaches it. Its RST is still in flight at 500 ms, when the
@@ -441,6 +442,18 @@ TEST_F(MigrationClientTest, RaceAdoptsRacerWhenMainConnectionDies) {
     EXPECT_EQ(w.conn_opens(), 2u);
     EXPECT_EQ(w.stats().migrations, 0u);  // adopted, never promoted
     EXPECT_EQ(w.stats().migration_wasted_bytes, 0u);
+    // Adopting the racer ends the race: its `migrate` span is closed with
+    // the fresh path as the winner, so a later migration gets a span too.
+    EXPECT_EQ(tracer.open_spans(), 0u);
+    int migrate_spans = 0;
+    for (const auto& span : tracer.spans()) {
+      if (span.name != "migrate") continue;
+      ++migrate_spans;
+      const obs::AttrValue* winner = span.attr("winner");
+      ASSERT_NE(winner, nullptr);
+      EXPECT_EQ(std::get<std::string>(*winner), "fresh");
+    }
+    EXPECT_EQ(migrate_spans, 1);
   }
 }
 
