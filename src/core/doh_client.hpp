@@ -6,7 +6,7 @@
 //     H vs HP scenarios of Figs 3-4)
 //   * POST with application/dns-message, GET with ?dns=<base64url>, or the
 //     JSON API (?name=&type= with application/dns-json)
-//   * TLS version bounds and session resumption
+//   * the highest TLS version offered, and session resumption
 //
 // Cost accounting: every resolution records a CostReport. On persistent
 // connections it is the counter delta while the query was outstanding, so
@@ -59,7 +59,7 @@ struct DohClientConfig {
   DohMethod method = DohMethod::kPost;
   bool persistent = true;
   bool h1_pipelining = true;
-  tlssim::TlsVersion min_tls = tlssim::TlsVersion::kTls12;
+  /// Highest TLS version offered; the lowest is always TLS 1.2.
   tlssim::TlsVersion max_tls = tlssim::TlsVersion::kTls13;
   tlssim::SessionCache* session_cache = nullptr;
   http2::Http2Config h2;  ///< HPACK table size etc. (fig5 ablation knob)

@@ -211,11 +211,6 @@ void DoqClient::disconnect() {
   closing_ = false;
 }
 
-bool DoqClient::connected() const {
-  return endpoint_ && endpoint_->connection().established() &&
-         !endpoint_->connection().closed();
-}
-
 const quicsim::QuicCounters* DoqClient::quic_counters() const {
   return endpoint_ ? &endpoint_->connection().counters() : nullptr;
 }

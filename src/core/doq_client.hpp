@@ -51,7 +51,6 @@ class DoqClient final : public ResolverClient {
   }
 
   void disconnect();
-  bool connected() const;
   const quicsim::QuicCounters* quic_counters() const;
 
  private:

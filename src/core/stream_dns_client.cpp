@@ -30,8 +30,6 @@ StreamDnsClient::Connection StreamDnsClient::open_connection(
   if (use_tls_) {
     tlssim::ClientConfig tls_config;
     tls_config.sni = config_.server_name;
-    tls_config.min_version = config_.min_tls;
-    tls_config.max_version = config_.max_tls;
     tls_config.session_cache = config_.session_cache;
     // RFC 7858 defines no mandatory ALPN token; offer none.
     auto tls = std::make_unique<tlssim::TlsConnection>(std::move(stream),

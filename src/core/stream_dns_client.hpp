@@ -26,9 +26,7 @@
 namespace dohperf::core {
 
 struct DotClientConfig {
-  std::string server_name = "dot.example";  ///< SNI
-  tlssim::TlsVersion min_tls = tlssim::TlsVersion::kTls12;
-  tlssim::TlsVersion max_tls = tlssim::TlsVersion::kTls13;
+  std::string server_name = "dot.example";  ///< SNI; offers TLS 1.2..1.3
   tlssim::SessionCache* session_cache = nullptr;
   /// Reconnection + per-query retry behaviour; default is fail-fast.
   RetryPolicy retry;
