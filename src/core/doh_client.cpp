@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/obs_hooks.hpp"
 #include "dns/base64url.hpp"
 #include "dns/json.hpp"
 
@@ -29,10 +28,13 @@ DohClient::DohClient(simnet::Host& host, simnet::Address server,
     : host_(host),
       server_(server),
       config_(std::move(config)),
+      ledger_(host.loop(), config_.obs,
+              config_.http_version == HttpVersion::kHttp2 ? "doh_h2"
+                                                          : "doh_h1",
+              config_.retry.max_retries, /*charge_on_finish=*/false),
       lifecycle_(
-          host, config_.obs,
-          config_.http_version == HttpVersion::kHttp2 ? "doh_h2" : "doh_h1",
-          config_.retry, config_.migration, [this]() { return in_flight(); },
+          host, ledger_, config_.retry, config_.migration,
+          [this]() { return in_flight(); },
           [this](const char* reason) { race_.migrate(reason, in_flight()); }),
       race_(lifecycle_, host.loop(), *this) {}
 
@@ -132,10 +134,8 @@ void DohClient::on_stream_event(const std::shared_ptr<Stack>& stack,
     case http2::StreamEvent::kStreamClosed: {
       const auto it = stack->stream_to_query.find(stream_id);
       if (it == stack->stream_to_query.end()) return;
-      QueryState& state = states_[it->second];
+      states_[it->second].end_response(config_.obs);
       stack->stream_to_query.erase(it);
-      config_.obs.end(state.response_span);
-      state.response_span = 0;
       return;
     }
   }
@@ -175,36 +175,24 @@ std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(
 
 std::uint64_t DohClient::resolve(const dns::Name& name, dns::RType type,
                                  ResolveCallback callback) {
-  const std::uint64_t query_id = next_query_id_++;
-  const obs::SpanId span =
-      obs_begin_resolution(config_.obs, lifecycle_.metrics(),
-                           lifecycle_.transport(), name, type);
-  auto stack = stack_for_query(span);
-
-  ResolutionResult result;
-  result.sent_at = host_.loop().now();
-  results_.push_back(std::move(result));
-
-  QueryState state;
-  state.callback = std::move(callback);
-  state.name = name;
-  state.type = type;
-  state.retry.retries_left = config_.retry.max_retries;
-  state.retry.span = span;
-  state.stack = stack;
+  QueryState& state = states_.emplace_back();
+  const std::uint64_t query_id =
+      ledger_.open(state, name, type, std::move(callback));
   state.fresh_stack = !config_.persistent;
-  // A fresh stack carries this query alone, so its cost window opens at
-  // zero: open_connection() has already sent the SYN.
-  state.start = state.fresh_stack ? CostReport{} : stack->snapshot();
-  states_.push_back(std::move(state));
-
-  issue(stack, query_id, name, type);
+  issue(query_id);
   return query_id;
 }
 
-void DohClient::issue(const std::shared_ptr<Stack>& stack,
-                      std::uint64_t query_id, const dns::Name& name,
-                      dns::RType type) {
+void DohClient::issue(std::uint64_t query_id) {
+  QueryState& state = states_[query_id];
+  const std::shared_ptr<Stack> stack = stack_for_query(state.retry.span);
+  state.stack = stack;
+  // A fresh stack carries this query alone, so its cost window opens at
+  // zero: open_connection() has already sent the SYN.
+  state.start = state.fresh_stack ? CostReport{} : stack->snapshot();
+  const dns::Name& name = state.name;
+  const dns::RType type = state.type;
+
   // RFC 8484 §4.1: use DNS ID 0 for cache friendliness; correlation is via
   // the HTTP exchange itself.
   dns::Message query = dns::Message::make_query(0, name, type);
@@ -240,21 +228,20 @@ void DohClient::issue(const std::shared_ptr<Stack>& stack,
       break;
     }
   }
-  results_[query_id].cost.dns_message_bytes += query_dns_bytes;
+  ledger_.result(query_id).cost.dns_message_bytes += query_dns_bytes;
 
-  QueryState& qstate = states_[query_id];
-  qstate.rx_at_issue =
+  state.rx_at_issue =
       stack->tcp ? stack->tcp->counters().wire_bytes_received : 0;
-  lifecycle_.begin_request(qstate.retry);
+  ledger_.begin_request(state.retry);
   // h2: the stream observer resolves the request span to a stream id once
   // the HEADERS actually leaves (possibly after the handshake).
-  if (qstate.retry.span != 0 && stack->h2) {
+  if (state.retry.span != 0 && stack->h2) {
     stack->awaiting_stream.push_back(query_id);
   }
 
   stack->outstanding.push_back(query_id);
   lifecycle_.arm_stall();
-  lifecycle_.arm_timeout(qstate.retry,
+  lifecycle_.arm_timeout(state.retry,
                          [this, query_id]() { on_query_timeout(query_id); });
 
   const auto handle_body = [this, query_id](int status,
@@ -340,29 +327,20 @@ void DohClient::on_stack_error(const std::shared_ptr<Stack>& stack,
   if (race_.current() == stack) race_.current().reset();
   // Spans of a connection that died mid-handshake must not stay open.
   stack->spans.abandon(config_.obs);
-
-  std::vector<std::uint64_t> victims;
-  std::size_t suspect_at = stack->outstanding.size();
   for (const std::uint64_t query_id : stack->outstanding) {
-    QueryState& state = states_[query_id];
-    if (state.done) continue;
-    if (cause == ReissueCause::kTimeoutTeardown && query_id == suspect) {
-      suspect_at = victims.size();
-    }
-    config_.obs.end(state.response_span);
-    state.response_span = 0;
-    victims.push_back(query_id);
+    states_[query_id].end_response(config_.obs);
   }
-  stack->outstanding.clear();
-  lifecycle_.reissue(
-      victims.size(), suspect_at, cause, true,
-      [&](std::size_t i) -> QueryRetry& { return states_[victims[i]].retry; },
-      [&](std::size_t i) { complete(victims[i], false, {}, 0); },
-      [&](std::size_t i, std::optional<simnet::TimeUs> delay) {
-        host_.loop().schedule_in(delay.value_or(0),
-                                 [this, query_id = victims[i]]() {
-                                   reissue(query_id);
-                                 });
+  reissue(stack->outstanding, cause, suspect);
+}
+
+void DohClient::reissue(std::vector<std::uint64_t>& ids, ReissueCause cause,
+                        std::uint64_t suspect) {
+  lifecycle_.reissue_all(
+      ids, cause, suspect, /*can_retry=*/true,
+      [this](std::uint64_t query_id) -> Query& { return states_[query_id]; },
+      [this](std::uint64_t query_id) { complete(query_id, false, {}, 0); },
+      [this](std::uint64_t query_id) {
+        if (!states_[query_id].done) issue(query_id);
       });
 }
 
@@ -398,22 +376,9 @@ void DohClient::on_query_timeout(std::uint64_t query_id) {
   }
   // HTTP/2 multiplexes streams independently: only this exchange is
   // stalled, so re-issue immediately — the elapsed timeout was the wait.
-  config_.obs.end(state.response_span);
-  state.response_span = 0;
-  lifecycle_.reissue(
-      1, 0, ReissueCause::kTimeout, true,
-      [&](std::size_t) -> QueryRetry& { return state.retry; },
-      [](std::size_t) {},
-      [&](std::size_t, std::optional<simnet::TimeUs>) { reissue(query_id); });
-}
-
-void DohClient::reissue(std::uint64_t query_id) {
-  QueryState& state = states_[query_id];
-  if (state.done) return;
-  auto stack = stack_for_query(state.retry.span);
-  state.stack = stack;
-  state.start = state.fresh_stack ? CostReport{} : stack->snapshot();
-  issue(stack, query_id, state.name, state.type);
+  state.end_response(config_.obs);
+  std::vector<std::uint64_t> stalled{query_id};
+  reissue(stalled, ReissueCause::kTimeout);
 }
 
 void DohClient::complete(std::uint64_t query_id, bool success,
@@ -421,7 +386,6 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   QueryState& state = states_[query_id];
   if (state.done) return;  // error handler may race the response
   state.done = true;
-  host_.loop().cancel(state.retry.timeout_timer);
   lifecycle_.cancel_stall();
   if (state.stack) {
     auto& out = state.stack->outstanding;
@@ -430,6 +394,8 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   if (success) {
     lifecycle_.succeeded();
     race_.drop_racer();  // the old path answered
+  } else {
+    ++failures_;
   }
   if (!state.fresh_stack && state.stack) {
     // Persistent connection: freeze the counter window one event from now,
@@ -444,20 +410,7 @@ void DohClient::complete(std::uint64_t query_id, bool success,
     });
   }
 
-  ResolutionResult& result = results_[query_id];
-  result.success = success;
-  result.completed_at = host_.loop().now();
-  if (success) {
-    result.cost.dns_message_bytes += dns_bytes;
-    result.response = std::move(response);
-  } else {
-    ++failures_;
-  }
-  ++completed_;
-
-  config_.obs.end(state.retry.request_span);
-  config_.obs.end(state.response_span);
-  state.retry.request_span = state.response_span = 0;
+  state.end_response(config_.obs);
   if (state.stack && state.stack->h2 && config_.obs.metrics != nullptr) {
     // HPACK dynamic-table hits are per-connection cumulative; export the
     // delta since the last completion on this stack.
@@ -468,25 +421,20 @@ void DohClient::complete(std::uint64_t query_id, bool success,
       state.stack->hpack_reported = hits;
     }
   }
-  obs_finish_resolution(config_.obs, lifecycle_.metrics(), state.retry.span,
-                        lifecycle_.transport(), result);
-
   if (!config_.persistent && state.stack) {
     // Tear the connection down; the remaining FIN/close-notify bytes are
     // captured when the cost is finalized in result().
     if (state.stack->h2) state.stack->h2->close();
     if (state.stack->h1) state.stack->h1->close();
   }
-  // Move the callback out first: it may start new resolutions, which can
-  // reallocate states_ and invalidate `state`.
-  auto callback = std::move(state.callback);
-  if (callback) callback(result);
+  // The cost is charged when result() finalizes it.
+  ledger_.finish(states_[query_id], success, std::move(response), dns_bytes);
   if (in_flight()) lifecycle_.arm_stall();
 }
 
 const ResolutionResult& DohClient::result(std::uint64_t id) const {
   const QueryState& state = states_.at(id);
-  ResolutionResult& result = results_.at(id);
+  ResolutionResult& result = ledger_.result(id);
   if (state.done && state.stack) {
     // Finalize the transport cost. Fresh stacks are read at call time so
     // the teardown packets are included (run the loop to idle first);
@@ -497,11 +445,10 @@ const ResolutionResult& DohClient::result(std::uint64_t id) const {
     result.cost = end - state.start;
     result.cost.dns_message_bytes = dns_bytes;
     if (!state.cost_observed) {
-      // Attach the per-layer byte attributes the first time the finalized
-      // cost is read — by construction they match this CostReport exactly.
+      // Charge the span and bytes.* the first time the finalized cost is
+      // read — by construction they match this CostReport exactly.
       state.cost_observed = true;
-      obs_span_cost(config_.obs, state.retry.span, result.cost);
-      obs_count_cost(config_.obs, cmetrics_, result.cost);
+      ledger_.charge(state.retry.span, result.cost);
     }
   }
   return result;

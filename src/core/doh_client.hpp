@@ -84,7 +84,7 @@ class DohClient final : public ResolverClient {
                         ResolveCallback callback) override;
   /// Lazily finalizes the cost if the stack has quiesced.
   const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
+  std::size_t completed() const override { return ledger_.completed(); }
   std::uint64_t failures() const noexcept { return failures_; }
   const RetryStats& retry_stats() const noexcept {
     return lifecycle_.retry_stats();
@@ -142,8 +142,8 @@ class DohClient final : public ResolverClient {
   std::shared_ptr<Stack> stack_for_query(obs::SpanId parent);
   void on_stream_event(const std::shared_ptr<Stack>& stack,
                        std::uint32_t stream_id, http2::StreamEvent event);
-  void issue(const std::shared_ptr<Stack>& stack, std::uint64_t query_id,
-             const dns::Name& name, dns::RType type);
+  /// Send (or re-send) a query on a (possibly fresh) connection.
+  void issue(std::uint64_t query_id);
   void complete(std::uint64_t query_id, bool success, dns::Message response,
                 std::size_t dns_bytes);
   /// Transport-level failure (close/reset/GOAWAY/protocol error): retry or
@@ -151,27 +151,24 @@ class DohClient final : public ResolverClient {
   /// `suspect` is the query whose timeout condemned the connection.
   void on_stack_error(const std::shared_ptr<Stack>& stack,
                       ReissueCause cause = ReissueCause::kConnectionLoss,
-                      std::uint64_t suspect = 0);
+                      std::uint64_t suspect = kNoQuery);
+  /// Retry or fail the queries `ids` (ConnectionLifecycle::reissue_all).
+  void reissue(std::vector<std::uint64_t>& ids, ReissueCause cause,
+               std::uint64_t suspect = kNoQuery);
   void on_query_timeout(std::uint64_t query_id);
-  /// Re-issue a query on a (possibly fresh) connection.
-  void reissue(std::uint64_t query_id);
 
   simnet::Host& host_;
   simnet::Address server_;
   DohClientConfig config_;
-  ConnectionLifecycle lifecycle_;  ///< transport key "doh_h2" or "doh_h1"
+  /// Transport key "doh_h2" or "doh_h1". Mutable: result() is const and
+  /// finalizes costs into it.
+  mutable QueryLedger ledger_;
+  ConnectionLifecycle lifecycle_;
   StackRace race_;  ///< the persistent stack (unused in fresh mode)
-  mutable CostMetrics cmetrics_;  ///< mutable: result() is const
 
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
   std::uint64_t failures_ = 0;
 
-  struct QueryState {
-    ResolveCallback callback;
-    dns::Name name;                ///< kept for re-issue
-    dns::RType type = dns::RType::kA;
-    QueryRetry retry;
+  struct QueryState : Query {
     std::shared_ptr<Stack> stack;  ///< stack this query ran on
     CostReport start;  ///< stack snapshot at issue time (zero if fresh)
     CostReport end;                ///< snapshot at completion (persistent)
@@ -183,12 +180,16 @@ class DohClient final : public ResolverClient {
     bool fresh_stack = false;      ///< cost = whole stack incl. teardown
     bool done = false;
     obs::SpanId response_span = 0;  ///< h2: kResponseBegan..kStreamClosed
-    /// Span byte attrs / bytes.* counters recorded (result() is const and
-    /// may be called repeatedly; the first finalized read wins).
+    /// Cost charged to the span and bytes.* (result() is const and may be
+    /// called repeatedly; the first finalized read wins).
     mutable bool cost_observed = false;
+
+    void end_response(const obs::SpanContext& obs) {
+      obs.end(response_span);
+      response_span = 0;
+    }
   };
-  mutable std::vector<ResolutionResult> results_;
-  std::vector<QueryState> states_;
+  std::vector<QueryState> states_;  ///< indexed by query id
 };
 
 }  // namespace dohperf::core

@@ -14,7 +14,6 @@
 
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "core/client.hpp"
 #include "core/lifecycle.hpp"
@@ -41,8 +40,10 @@ class DoqClient final : public ResolverClient {
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
+  const ResolutionResult& result(std::uint64_t id) const override {
+    return ledger_.result(id);
+  }
+  std::size_t completed() const override { return ledger_.completed(); }
   const RetryStats& retry_stats() const noexcept {
     return lifecycle_.retry_stats();
   }
@@ -54,26 +55,19 @@ class DoqClient final : public ResolverClient {
   const quicsim::QuicCounters* quic_counters() const;
 
  private:
-  struct PendingQuery {
-    std::uint64_t query_id = 0;
-    ResolveCallback callback;
+  /// A query in flight and the response received on its stream so far.
+  struct Pending : Query {
     dns::Bytes rx;
-    dns::Name name;  ///< kept for re-issue
-    dns::RType type = dns::RType::kA;
-    QueryRetry retry;
   };
 
   void ensure_connection(obs::SpanId parent);
-  void issue(PendingQuery pq);
+  void issue(Pending pending);
   void on_stream_data(std::uint64_t stream_id,
                       std::span<const std::uint8_t> data, bool fin);
-  void on_closed();
-  void on_query_timeout(std::uint64_t stream_id);
   /// Fail or (budget permitting) re-issue every query in flight after the
-  /// connection died or, on a timeout teardown, was condemned by the query
-  /// timeout on stream `suspect`.
-  void group_reissue(ReissueCause cause, std::uint64_t suspect = 0);
-  void fail_query(PendingQuery pq);
+  /// connection died or, on a timeout teardown, was condemned by the
+  /// timeout of query `suspect`.
+  void reissue(ReissueCause cause, std::uint64_t suspect = kNoQuery);
   /// QUIC migration: validate the current path with a PATH_CHALLENGE. The
   /// connection — handshake included — survives the address change.
   void begin_migration(const char* reason);
@@ -81,16 +75,13 @@ class DoqClient final : public ResolverClient {
   simnet::Host& host_;
   simnet::Address server_;
   DoqClientConfig config_;
+  QueryLedger ledger_;
   ConnectionLifecycle lifecycle_;
-  CostMetrics cmetrics_;
   std::unique_ptr<quicsim::QuicClientEndpoint> endpoint_;
   ConnectSpans spans_;  ///< of the endpoint's connection
   bool closing_ = false;  ///< disconnect() in progress: do not retry
 
-  std::map<std::uint64_t, PendingQuery> pending_;  ///< keyed by stream id
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
-  std::vector<ResolutionResult> results_;
+  std::map<std::uint64_t, Pending> pending_;  ///< keyed by stream id
 };
 
 }  // namespace dohperf::core

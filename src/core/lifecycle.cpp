@@ -42,12 +42,12 @@ void ConnectSpans::abandon(const obs::SpanContext& obs) {
 }
 
 ConnectionLifecycle::ConnectionLifecycle(
-    simnet::Host& host, const obs::SpanContext& obs, std::string transport,
-    const RetryPolicy& retry, const MigrationConfig& migration,
-    std::function<bool()> busy, std::function<void(const char*)> migrate)
+    simnet::Host& host, QueryLedger& ledger, const RetryPolicy& retry,
+    const MigrationConfig& migration, std::function<bool()> busy,
+    std::function<void(const char*)> migrate)
     : host_(host),
-      obs_(obs),
-      transport_(std::move(transport)),
+      ledger_(ledger),
+      obs_(ledger.obs()),
       retry_(retry),
       migration_(migration),
       busy_(std::move(busy)),
@@ -64,16 +64,6 @@ ConnectionLifecycle::ConnectionLifecycle(
 ConnectionLifecycle::~ConnectionLifecycle() {
   host_.loop().cancel(stall_timer_);
   if (listener_id_ != 0) host_.remove_network_change_listener(listener_id_);
-}
-
-void ConnectionLifecycle::begin_request(
-    QueryRetry& q, std::optional<std::int64_t> stream_id) {
-  ++q.attempt;
-  if (q.span == 0) return;
-  q.request_span = obs_.tracer->begin(q.span, "request");
-  if (stream_id) obs_.set_attr(q.request_span, "stream_id", *stream_id);
-  obs_.set_attr(q.request_span, "attempt",
-                static_cast<std::int64_t>(q.attempt));
 }
 
 bool ConnectionLifecycle::timed_out(const QueryRetry& q) {
@@ -117,7 +107,7 @@ void ConnectionLifecycle::on_stall() {
   if (obs_.tracer != nullptr) {
     // The probe that condemned the old path before we migrate away from it.
     const obs::SpanId s = obs_.tracer->begin(0, "path_probe");
-    obs_.set_attr(s, "transport", transport_);
+    obs_.set_attr(s, "transport", ledger_.transport());
     obs_.end(s);
   }
   migrate_("stall");
@@ -144,7 +134,7 @@ void ConnectionLifecycle::account_handshake(bool resumed,
   if (ever_connected_ && resumed && obs_.tracer != nullptr) {
     // A reconnect that skipped the full handshake via the session ticket.
     const obs::SpanId s = obs_.tracer->begin(0, "reconnect_resume");
-    obs_.set_attr(s, "transport", transport_);
+    obs_.set_attr(s, "transport", ledger_.transport());
     obs_.end(s);
   }
   ever_connected_ = true;
@@ -153,7 +143,7 @@ void ConnectionLifecycle::account_handshake(bool resumed,
 void ConnectionLifecycle::begin_migrate(const char* reason) {
   if (obs_.tracer == nullptr || migrate_span_ != 0) return;
   migrate_span_ = obs_.tracer->begin(0, "migrate");
-  obs_.set_attr(migrate_span_, "transport", transport_);
+  obs_.set_attr(migrate_span_, "transport", ledger_.transport());
   obs_.set_attr(migrate_span_, "reason", std::string(reason));
 }
 

@@ -1,35 +1,30 @@
 // The connection lifecycle shared by the connection-oriented resolver
 // clients: the stream client behind DNS over TCP and DoT, DoH and DoQ.
-// ConnectionLifecycle owns the client.<t>.* counters, the retry, handshake
-// and migration ledgers, the stall detector and the reconnect-and-reissue
-// policy; ConnectSpans the setup spans of one connection; MigrationRace the
-// connection of the stream client and DoH, and its migration race. Each
-// client keeps its connection type, its framing and its queries in flight.
+// ConnectionLifecycle owns the retry, handshake and migration ledgers, the
+// stall detector and the reconnect-and-reissue policy: reissue_all() fails
+// or re-issues everything a client has in flight, and query_timeout() turns
+// an expired deadline into a teardown or a failure. ConnectSpans holds the
+// setup spans of one connection; MigrationRace the connection of the
+// stream client and DoH, and its migration race. Each query's result,
+// spans and metrics are the client's QueryLedger (core/query_ledger.hpp);
+// each client keeps its connection type, its framing and its table of
+// queries in flight.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 
 #include "core/migration.hpp"
-#include "core/obs_hooks.hpp"
+#include "core/query_ledger.hpp"
 #include "core/retry.hpp"
 #include "simnet/host.hpp"
 #include "tlssim/connection.hpp"
 
 namespace dohperf::core {
-
-/// Retry and tracing state of one query, embedded in each client's record
-/// of a query in flight.
-struct QueryRetry {
-  int retries_left = 0;
-  int attempt = 0;  ///< attempts issued so far
-  simnet::EventId timeout_timer;
-  obs::SpanId span = 0;          ///< the resolution span
-  obs::SpanId request_span = 0;  ///< the current attempt
-};
 
 /// Why in-flight queries are re-issued.
 enum class ReissueCause {
@@ -67,11 +62,11 @@ struct ConnectSpans {
 
 class ConnectionLifecycle {
  public:
-  /// `obs`, `retry` and `migration` belong to the owning client's config
-  /// and must outlive this object. `busy` tells whether queries are in
-  /// flight; `migrate` starts a migration (stall or host network change).
-  ConnectionLifecycle(simnet::Host& host, const obs::SpanContext& obs,
-                      std::string transport, const RetryPolicy& retry,
+  /// `ledger`, `retry` and `migration` belong to the owning client and
+  /// must outlive this object. `busy` tells whether queries are in flight;
+  /// `migrate` starts a migration (stall or host network change).
+  ConnectionLifecycle(simnet::Host& host, QueryLedger& ledger,
+                      const RetryPolicy& retry,
                       const MigrationConfig& migration,
                       std::function<bool()> busy,
                       std::function<void(const char*)> migrate);
@@ -80,11 +75,9 @@ class ConnectionLifecycle {
   ConnectionLifecycle(const ConnectionLifecycle&) = delete;
   ConnectionLifecycle& operator=(const ConnectionLifecycle&) = delete;
 
-  const std::string& transport() const noexcept { return transport_; }
-  TransportMetrics& metrics() noexcept { return metrics_; }
   void count(obs::MetricId TransportMetrics::*counter,
              std::uint64_t delta = 1) {
-    obs_count(obs_, metrics_, transport_, counter, delta);
+    ledger_.count(counter, delta);
   }
   const RetryStats& retry_stats() const noexcept { return retry_stats_; }
   const MigrationStats& migration_stats() const noexcept {
@@ -93,10 +86,6 @@ class ConnectionLifecycle {
 
   // ---- Attempts ----------------------------------------------------------
 
-  /// Open the next attempt's `request` span (attempt=, and stream_id= when
-  /// given).
-  void begin_request(QueryRetry& q,
-                     std::optional<std::int64_t> stream_id = std::nullopt);
   /// Arm the per-query deadline when the policy sets one.
   template <typename F>
   void arm_timeout(QueryRetry& q, F&& on_timeout) {
@@ -111,17 +100,48 @@ class ConnectionLifecycle {
   /// initial delay again.
   void succeeded() noexcept { backoff_.reset(); }
 
-  /// The reconnect-and-reissue policy. The `n` victims are addressed by
-  /// index in issue order; `suspect` (or n and above for none) is the query
-  /// whose timeout condemned the connection. Each victim either fails
-  /// through fail(i) or, budget permitting, gets a `retry` span and counter
-  /// and goes to resend(i, delay). One backoff delay is drawn per
-  /// connection loss and shared by its re-issues; a migration or stream
-  /// timeout passes nullopt (re-send at once).
-  template <typename RetryOf, typename Fail, typename Resend>
-  void reissue(std::size_t n, std::size_t suspect, ReissueCause cause,
-               bool can_retry, RetryOf&& retry_of, Fail&& fail,
-               Resend&& resend);
+  /// The reconnect-and-reissue policy: fail or re-issue every query in
+  /// flight. `in_flight` is the client's table of them in issue order,
+  /// and is left empty (re-issues may refill it); query_of(entry) is an
+  /// entry's Query. `suspect` is the id of the query whose timeout
+  /// condemned the connection (kNoQuery: none). Each query either fails
+  /// through fail(entry) or, budget permitting, gets a `retry` span and
+  /// counter and goes to send(entry): at once after a migration or a
+  /// stream timeout, else after a backoff delay drawn once per connection
+  /// loss and shared by its re-issues (the entry then moves into the
+  /// event, so `send` must capture nothing by reference).
+  template <typename Table, typename QueryOf, typename Fail, typename Send>
+  void reissue_all(Table& in_flight, ReissueCause cause,
+                   std::uint64_t suspect, bool can_retry, QueryOf&& query_of,
+                   Fail&& fail, Send&& send);
+  /// reissue_all for a std::map from the client's key to a Query record:
+  /// a failed query finishes in the ledger, and send(record) re-sends.
+  template <typename Key, typename Record, typename Send>
+  void reissue_all(std::map<Key, Record>& in_flight, ReissueCause cause,
+                   std::uint64_t suspect, bool can_retry, Send&& send) {
+    reissue_all(
+        in_flight, cause, suspect, can_retry,
+        [](auto& entry) -> Query& { return entry.second; },
+        [this](auto& entry) { ledger_.fail(entry.second); },
+        [send](auto& entry) { send(std::move(entry.second)); });
+  }
+  /// The deadline of the query under `key` expired (a no-op when it has
+  /// finished). Out of budget, it fails. Otherwise the connection is
+  /// condemned: teardown(id) discards it and re-issues everything in
+  /// flight with this query, id `id`, as the suspect.
+  template <typename Key, typename Record, typename Teardown>
+  void query_timeout(std::map<Key, Record>& in_flight, const Key& key,
+                     Teardown&& teardown) {
+    const auto it = in_flight.find(key);
+    if (it == in_flight.end()) return;
+    if (timed_out(it->second.retry)) {
+      teardown(it->second.id);
+      return;
+    }
+    Record record = std::move(it->second);
+    in_flight.erase(it);
+    ledger_.fail(record);
+  }
 
   // ---- Stall detection ---------------------------------------------------
 
@@ -150,13 +170,12 @@ class ConnectionLifecycle {
   static const char* reason(ReissueCause cause) noexcept;
 
   simnet::Host& host_;
-  const obs::SpanContext& obs_;
-  std::string transport_;
+  QueryLedger& ledger_;
+  const obs::SpanContext& obs_;  ///< the ledger's
   const RetryPolicy& retry_;
   const MigrationConfig& migration_;
   std::function<bool()> busy_;
   std::function<void(const char*)> migrate_;
-  TransportMetrics metrics_;
   Backoff backoff_;
   RetryStats retry_stats_;
   MigrationStats migration_stats_;
@@ -275,27 +294,26 @@ class MigrationRace {
   simnet::EventId check_racer_;
 };
 
-template <typename RetryOf, typename Fail, typename Resend>
-void ConnectionLifecycle::reissue(std::size_t n, std::size_t suspect,
-                                  ReissueCause cause, bool can_retry,
-                                  RetryOf&& retry_of, Fail&& fail,
-                                  Resend&& resend) {
+template <typename Table, typename QueryOf, typename Fail, typename Send>
+void ConnectionLifecycle::reissue_all(Table& in_flight, ReissueCause cause,
+                                      std::uint64_t suspect, bool can_retry,
+                                      QueryOf&& query_of, Fail&& fail,
+                                      Send&& send) {
+  Table victims = std::exchange(in_flight, Table{});
   can_retry = can_retry && retry_.max_retries > 0;
   const bool backs_off = cause == ReissueCause::kConnectionLoss ||
                          cause == ReissueCause::kTimeoutTeardown;
   std::optional<simnet::TimeUs> delay;
-  const auto one = [&](std::size_t i) {
-    QueryRetry& q = retry_of(i);
-    host_.loop().cancel(q.timeout_timer);
-    obs_.end(q.request_span);
-    q.request_span = 0;
+  const auto one = [&](auto& entry) {
+    Query& q = query_of(entry);
+    host_.loop().cancel(q.retry.timeout_timer);
     // A timeout teardown charges only the suspect: the rest were merely
     // queued behind it and are re-issued for free.
     const bool charge = cause != ReissueCause::kTimeoutTeardown ||
-                        i == suspect;
-    if (!can_retry || (charge && q.retries_left <= 0)) {
+                        q.id == suspect;
+    if (!can_retry || (charge && q.retry.retries_left <= 0)) {
       if (can_retry) ++retry_stats_.budget_exhausted;
-      fail(i);
+      fail(entry);
       return;
     }
     if (backs_off && !delay) {
@@ -303,21 +321,25 @@ void ConnectionLifecycle::reissue(std::size_t n, std::size_t suspect,
       ++retry_stats_.reconnects;
       count(&TransportMetrics::reconnects);
     }
-    if (charge) --q.retries_left;
+    if (charge) --q.retry.retries_left;
     ++retry_stats_.retried_queries;
-    if (q.span != 0) {
-      const obs::SpanId span = obs_.tracer->begin(q.span, "retry");
-      obs_.set_attr(span, "reason", std::string(reason(cause)));
-      obs_.set_attr(span, "attempt", static_cast<std::int64_t>(q.attempt));
-      obs_.end(span);
+    ledger_.record_retry(q.retry, reason(cause));
+    if (!delay) {
+      send(entry);
+      return;
     }
-    count(&TransportMetrics::retries);
-    resend(i, delay);
+    host_.loop().schedule_in(
+        *delay, [send, entry = std::move(entry)]() mutable { send(entry); });
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i != suspect) one(i);
+  typename Table::value_type* last = nullptr;
+  for (auto& entry : victims) {
+    if (query_of(entry).id == suspect) {
+      last = &entry;
+    } else {
+      one(entry);
+    }
   }
-  if (suspect < n) one(suspect);
+  if (last != nullptr) one(*last);
 }
 
 }  // namespace dohperf::core

@@ -10,9 +10,11 @@ StreamDnsClient::StreamDnsClient(simnet::Host& host, simnet::Address server,
       server_(server),
       config_(std::move(config)),
       use_tls_(tls),
+      ledger_(host.loop(), config_.obs, tls ? "dot" : "tcp",
+              config_.retry.max_retries),
       lifecycle_(
-          host, config_.obs, tls ? "dot" : "tcp", config_.retry,
-          config_.migration, [this]() { return !pending_.empty(); },
+          host, ledger_, config_.retry, config_.migration,
+          [this]() { return !pending_.empty(); },
           [this](const char* reason) {
             race_.migrate(reason, !pending_.empty());
           }),
@@ -109,37 +111,34 @@ std::uint16_t StreamDnsClient::allocate_dns_id() {
 std::uint64_t StreamDnsClient::resolve(const dns::Name& name,
                                        dns::RType type,
                                        ResolveCallback callback) {
-  const std::uint64_t query_id = next_query_id_++;
-
-  ResolutionResult result;
-  result.sent_at = host_.loop().now();
-  results_.push_back(std::move(result));
-
-  Pending pending;
-  pending.query_id = query_id;
-  pending.callback = std::move(callback);
-  pending.name = name;
-  pending.type = type;
-  pending.retry.retries_left = config_.retry.max_retries;
-  pending.retry.span = obs_begin_resolution(
-      config_.obs, lifecycle_.metrics(), lifecycle_.transport(), name, type);
-  send_query(allocate_dns_id(), std::move(pending));
+  Query query;
+  const std::uint64_t query_id =
+      ledger_.open(query, name, type, std::move(callback));
+  send_query(allocate_dns_id(), std::move(query));
   return query_id;
 }
 
-void StreamDnsClient::send_query(std::uint16_t dns_id, Pending pending) {
-  Connection& conn = race_.acquire(pending.retry.span);
-  const std::uint64_t query_id = pending.query_id;
-  lifecycle_.begin_request(pending.retry);
+void StreamDnsClient::send_query(std::uint16_t dns_id, Query query) {
+  Connection& conn = race_.acquire(query.retry.span);
+  ledger_.begin_request(query.retry);
 
-  const dns::Message query =
-      dns::Message::make_query(dns_id, pending.name, pending.type);
-  const dns::Bytes wire = query.encode();
-  results_[query_id].cost.dns_message_bytes += wire.size();
+  const dns::Bytes wire =
+      dns::Message::make_query(dns_id, query.name, query.type).encode();
+  ledger_.result(query.id).cost.dns_message_bytes += wire.size();
 
-  lifecycle_.arm_timeout(pending.retry,
-                         [this, dns_id]() { on_query_timeout(dns_id); });
-  pending_.emplace(dns_id, std::move(pending));
+  lifecycle_.arm_timeout(query.retry, [this, dns_id]() {
+    lifecycle_.query_timeout(pending_, dns_id, [this](std::uint64_t id) {
+      // Responses are serialized on one stream (the resolver answers in
+      // order), so a stalled exchange at the head of the line blocks every
+      // response behind it and re-issuing on the same session cannot
+      // recover. Discard the suspect connection -- as real stub resolvers
+      // discard suspect TCP sessions -- and let the reconnect path re-issue
+      // every pending query, this one included.
+      abort_connection(race_.current());
+      reissue_from(race_.current(), ReissueCause::kTimeoutTeardown, id);
+    });
+  });
+  pending_.emplace(dns_id, std::move(query));
 
   dns::ByteWriter framed;
   framed.u16(static_cast<std::uint16_t>(wire.size()));
@@ -174,84 +173,22 @@ void StreamDnsClient::on_data(std::span<const std::uint8_t> data) {
     }
     const auto it = pending_.find(response.id);
     if (it == pending_.end()) continue;
-    Pending pending = std::move(it->second);
+    Query query = std::move(it->second);
     pending_.erase(it);
-    host_.loop().cancel(pending.retry.timeout_timer);
     lifecycle_.succeeded();
-
-    ResolutionResult& result = results_[pending.query_id];
-    result.success = true;
-    result.completed_at = host_.loop().now();
-    result.cost.dns_message_bytes += wire.size();
-    result.response = std::move(response);
-    ++completed_;
-    config_.obs.end(pending.retry.request_span);
-    obs_span_cost(config_.obs, pending.retry.span, result.cost);
-    obs_count_cost(config_.obs, cmetrics_, result.cost);
-    obs_finish_resolution(config_.obs, lifecycle_.metrics(),
-                          pending.retry.span, lifecycle_.transport(), result);
-    if (pending.callback) pending.callback(result);
+    ledger_.finish(query, true, std::move(response), wire.size());
     race_.drop_racer();  // the old path answered
   }
   if (!pending_.empty()) lifecycle_.arm_stall();
 }
 
 void StreamDnsClient::reissue_from(const Connection&, ReissueCause cause,
-                                   std::uint16_t suspect) {
+                                   std::uint64_t suspect) {
   // Every query in flight ran on the one current connection.
-  std::vector<Pending> victims;
-  std::size_t suspect_at = pending_.size();
-  for (auto& [dns_id, entry] : pending_) {
-    if (dns_id == suspect) suspect_at = victims.size();
-    victims.push_back(std::move(entry));
-  }
-  pending_.clear();
-  lifecycle_.reissue(
-      victims.size(), suspect_at, cause, !closing_,
-      [&](std::size_t i) -> QueryRetry& { return victims[i].retry; },
-      [&](std::size_t i) { fail_query(std::move(victims[i])); },
-      [&](std::size_t i, std::optional<simnet::TimeUs> delay) {
-        if (!delay) {
-          send_query(allocate_dns_id(), std::move(victims[i]));
-          return;
-        }
-        host_.loop().schedule_in(
-            *delay, [this, p = std::move(victims[i])]() mutable {
-              send_query(allocate_dns_id(), std::move(p));
-            });
-      });
-}
-
-void StreamDnsClient::on_query_timeout(std::uint16_t dns_id) {
-  const auto it = pending_.find(dns_id);
-  if (it == pending_.end()) return;
-  if (lifecycle_.timed_out(it->second.retry)) {
-    // Responses are serialized on one stream (the resolver answers in
-    // order), so a stalled exchange at the head of the line blocks every
-    // response behind it and re-issuing on the same session cannot recover.
-    // Discard the suspect connection -- as real stub resolvers discard
-    // suspect TCP sessions -- and let the reconnect path re-issue every
-    // pending query, this one included.
-    abort_connection(race_.current());
-    reissue_from(race_.current(), ReissueCause::kTimeoutTeardown, dns_id);
-    return;
-  }
-  Pending pending = std::move(it->second);
-  pending_.erase(it);
-  fail_query(std::move(pending));
-}
-
-void StreamDnsClient::fail_query(Pending pending) {
-  ResolutionResult& result = results_[pending.query_id];
-  result.success = false;
-  result.completed_at = host_.loop().now();
-  ++completed_;
-  config_.obs.end(pending.retry.request_span);
-  obs_span_cost(config_.obs, pending.retry.span, result.cost);
-  obs_count_cost(config_.obs, cmetrics_, result.cost);
-  obs_finish_resolution(config_.obs, lifecycle_.metrics(), pending.retry.span,
-                        lifecycle_.transport(), result);
-  if (pending.callback) pending.callback(result);
+  lifecycle_.reissue_all(pending_, cause, suspect, !closing_,
+                         [this](Query query) {
+                           send_query(allocate_dns_id(), std::move(query));
+                         });
 }
 
 void StreamDnsClient::disconnect() {
@@ -269,10 +206,6 @@ const tlssim::TlsCounters* StreamDnsClient::tls_counters() const {
 const simnet::TcpCounters* StreamDnsClient::tcp_counters() const {
   const auto& tcp = race_.current().tcp;
   return tcp ? &tcp->counters() : nullptr;
-}
-
-const ResolutionResult& StreamDnsClient::result(std::uint64_t id) const {
-  return results_.at(id);
 }
 
 }  // namespace dohperf::core

@@ -14,7 +14,6 @@
 
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "core/client.hpp"
 #include "core/lifecycle.hpp"
@@ -41,8 +40,10 @@ class StreamDnsClient : public ResolverClient {
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
+  const ResolutionResult& result(std::uint64_t id) const override {
+    return ledger_.result(id);
+  }
+  std::size_t completed() const override { return ledger_.completed(); }
   const RetryStats& retry_stats() const noexcept {
     return lifecycle_.retry_stats();
   }
@@ -79,15 +80,6 @@ class StreamDnsClient : public ResolverClient {
   };
   friend class MigrationRace<Connection, StreamDnsClient>;
 
-  /// Everything needed to answer — or re-issue — one query.
-  struct Pending {
-    std::uint64_t query_id = 0;
-    ResolveCallback callback;
-    dns::Name name;
-    dns::RType type = dns::RType::kA;
-    QueryRetry retry;
-  };
-
   // The MigrationRace connection trait.
   Connection open_connection(obs::SpanId parent);
   /// Open or still handshaking: usable for new queries.
@@ -96,38 +88,33 @@ class StreamDnsClient : public ResolverClient {
   /// Abort the TCP connection (no local callbacks fire) and drop the
   /// stream; the TCP counters stay readable.
   void abort_connection(Connection& c);
-  /// Fail or re-issue everything in flight. `suspect` is the DNS ID whose
-  /// timeout condemned the connection (0: none).
+  /// Fail or re-issue everything in flight. `suspect` is the query whose
+  /// timeout condemned the connection.
   void reissue_from(const Connection& old, ReissueCause cause,
-                    std::uint16_t suspect = 0);
+                    std::uint64_t suspect = kNoQuery);
 
   /// The current connection or the racer, by serial (null: neither).
   Connection* find(std::uint64_t serial);
   /// Setup of connection `serial` completed (TLS: the handshake).
   void on_established(std::uint64_t serial);
-  void send_query(std::uint16_t dns_id, Pending pending);
+  void send_query(std::uint16_t dns_id, Query query);
   void on_data(std::span<const std::uint8_t> data);
-  void on_query_timeout(std::uint16_t dns_id);
-  void fail_query(Pending pending);
   std::uint16_t allocate_dns_id();
 
   simnet::Host& host_;
   simnet::Address server_;
   DotClientConfig config_;
   bool use_tls_;
+  QueryLedger ledger_;
   ConnectionLifecycle lifecycle_;
   MigrationRace<Connection, StreamDnsClient> race_;
-  CostMetrics cmetrics_;
   bool closing_ = false;  ///< disconnect() in progress: do not retry
   std::uint64_t next_serial_ = 1;
   dns::Bytes rx_;  ///< received, not yet framed bytes of connection rx_of_
   std::uint64_t rx_of_ = 0;
 
   std::uint16_t next_dns_id_ = 1;
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
-  std::map<std::uint16_t, Pending> pending_;
-  std::vector<ResolutionResult> results_;
+  std::map<std::uint16_t, Query> pending_;  ///< keyed by DNS message ID
 };
 
 }  // namespace dohperf::core

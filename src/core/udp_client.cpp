@@ -1,13 +1,12 @@
 #include "core/udp_client.hpp"
 
-#include "core/obs_hooks.hpp"
-
 namespace dohperf::core {
 
 UdpResolverClient::UdpResolverClient(simnet::Host& host,
                                      simnet::Address server,
                                      UdpClientConfig config)
     : host_(host), server_(server), config_(config),
+      ledger_(host.loop(), config_.obs, "udp", config_.max_retries),
       socket_(&host.udp_open()) {
   socket_->set_receiver(
       [this](const dns::Bytes& payload, simnet::Address /*from*/) {
@@ -17,7 +16,7 @@ UdpResolverClient::UdpResolverClient(simnet::Host& host,
 
 UdpResolverClient::~UdpResolverClient() {
   for (auto& [dns_id, p] : pending_) {
-    host_.loop().cancel(p.timer);
+    host_.loop().cancel(p.retry.timeout_timer);
   }
   host_.udp_close(*socket_);
 }
@@ -25,27 +24,18 @@ UdpResolverClient::~UdpResolverClient() {
 std::uint64_t UdpResolverClient::resolve(const dns::Name& name,
                                          dns::RType type,
                                          ResolveCallback callback) {
-  const std::uint64_t query_id = next_query_id_++;
   // Allocate a DNS message ID not currently in flight.
   std::uint16_t dns_id = next_dns_id_++;
   while (pending_.count(dns_id) != 0 || dns_id == 0) dns_id = next_dns_id_++;
 
-  const dns::Message query =
-      dns::Message::make_query(dns_id, name, type, config_.edns);
   Pending pending;
-  pending.query_id = query_id;
-  pending.wire = query.encode();
-  pending.callback = std::move(callback);
-  pending.retries_left = config_.max_retries;
-  pending.span =
-      obs_begin_resolution(config_.obs, tmetrics_, "udp", name, type);
-
-  ResolutionResult result;
-  result.sent_at = host_.loop().now();
+  const std::uint64_t query_id =
+      ledger_.open(pending, name, type, std::move(callback));
+  pending.wire =
+      dns::Message::make_query(dns_id, name, type, config_.edns).encode();
   // UDP cost is exact and known up-front for the query half; the response
   // half is added on completion.
-  result.cost.dns_message_bytes = pending.wire.size();
-  results_.push_back(std::move(result));
+  ledger_.result(query_id).cost.dns_message_bytes = pending.wire.size();
 
   pending_.emplace(dns_id, std::move(pending));
   send_query(dns_id);
@@ -54,46 +44,32 @@ std::uint64_t UdpResolverClient::resolve(const dns::Name& name,
 
 void UdpResolverClient::send_query(std::uint16_t dns_id) {
   auto& pending = pending_.at(dns_id);
-  auto& result = results_[pending.query_id];
-  result.cost.wire_bytes +=
+  CostReport& cost = ledger_.result(pending.id).cost;
+  cost.wire_bytes +=
       pending.wire.size() + simnet::kIpHeaderBytes + simnet::kUdpHeaderBytes;
-  result.cost.packets += 1;
-  ++pending.attempt;
-  if (pending.span != 0) {
-    pending.request_span =
-        config_.obs.tracer->begin(pending.span, "request");
-    config_.obs.set_attr(pending.request_span, "attempt",
-                         static_cast<std::int64_t>(pending.attempt));
-  }
+  cost.packets += 1;
+  ledger_.begin_request(pending.retry);
   socket_->send_to(server_, pending.wire);
-  pending.timer = host_.loop().schedule_in(
+  pending.retry.timeout_timer = host_.loop().schedule_in(
       config_.timeout, [this, dns_id]() { on_timeout(dns_id); });
 }
 
 void UdpResolverClient::on_timeout(std::uint16_t dns_id) {
   const auto it = pending_.find(dns_id);
   if (it == pending_.end()) return;
-  if (it->second.retries_left > 0) {
-    --it->second.retries_left;
-    Pending& p = it->second;
-    config_.obs.end(p.request_span);
-    p.request_span = 0;
-    if (p.span != 0) {
-      const obs::SpanId retry =
-          config_.obs.tracer->begin(p.span, "retry");
-      config_.obs.set_attr(retry, "reason", std::string("timeout"));
-      config_.obs.set_attr(retry, "attempt",
-                           static_cast<std::int64_t>(p.attempt));
-      config_.obs.end(retry);
-    }
-    obs_count(config_.obs, tmetrics_, "udp", &TransportMetrics::retries);
+  QueryRetry& retry = it->second.retry;
+  if (retry.retries_left > 0) {
+    --retry.retries_left;
+    ledger_.record_retry(retry, "timeout");
     ++retransmissions_;
     send_query(dns_id);
     return;
   }
   ++timeouts_;
-  obs_count(config_.obs, tmetrics_, "udp", &TransportMetrics::timeouts);
-  finish(dns_id, false, {}, 0);
+  ledger_.count(&TransportMetrics::timeouts);
+  Pending pending = std::move(it->second);
+  pending_.erase(it);
+  ledger_.fail(pending);
 }
 
 void UdpResolverClient::on_datagram(const dns::Bytes& payload) {
@@ -105,36 +81,13 @@ void UdpResolverClient::on_datagram(const dns::Bytes& payload) {
   }
   const auto it = pending_.find(response.id);
   if (it == pending_.end() || !response.flags.qr) return;
-  finish(response.id, true, std::move(response), payload.size());
-}
-
-void UdpResolverClient::finish(std::uint16_t dns_id, bool success,
-                               dns::Message response,
-                               std::size_t response_bytes) {
-  auto node = pending_.extract(dns_id);
-  Pending& pending = node.mapped();
-  host_.loop().cancel(pending.timer);
-
-  ResolutionResult& result = results_[pending.query_id];
-  result.success = success;
-  result.completed_at = host_.loop().now();
-  if (success) {
-    result.cost.dns_message_bytes += response_bytes;
-    result.cost.wire_bytes +=
-        response_bytes + simnet::kIpHeaderBytes + simnet::kUdpHeaderBytes;
-    result.cost.packets += 1;
-    result.response = std::move(response);
-  }
-  ++completed_;
-  config_.obs.end(pending.request_span);
-  obs_span_cost(config_.obs, pending.span, result.cost);
-  obs_count_cost(config_.obs, cmetrics_, result.cost);
-  obs_finish_resolution(config_.obs, tmetrics_, pending.span, "udp", result);
-  if (pending.callback) pending.callback(result);
-}
-
-const ResolutionResult& UdpResolverClient::result(std::uint64_t id) const {
-  return results_.at(id);
+  Pending pending = std::move(it->second);
+  pending_.erase(it);
+  CostReport& cost = ledger_.result(pending.id).cost;
+  cost.wire_bytes +=
+      payload.size() + simnet::kIpHeaderBytes + simnet::kUdpHeaderBytes;
+  cost.packets += 1;
+  ledger_.finish(pending, true, std::move(response), payload.size());
 }
 
 }  // namespace dohperf::core

@@ -3,10 +3,9 @@
 #pragma once
 
 #include <map>
-#include <vector>
 
 #include "core/client.hpp"
-#include "core/obs_hooks.hpp"
+#include "core/query_ledger.hpp"
 #include "obs/span.hpp"
 #include "simnet/host.hpp"
 
@@ -27,8 +26,10 @@ class UdpResolverClient final : public ResolverClient {
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
+  const ResolutionResult& result(std::uint64_t id) const override {
+    return ledger_.result(id);
+  }
+  std::size_t completed() const override { return ledger_.completed(); }
 
   std::uint64_t timeouts() const noexcept { return timeouts_; }
   /// Retransmissions sent after first attempts (the client-side half of
@@ -40,36 +41,24 @@ class UdpResolverClient final : public ResolverClient {
   void set_obs(const obs::SpanContext& obs) noexcept { config_.obs = obs; }
 
  private:
-  struct Pending {
-    std::uint64_t query_id;
+  /// A query in flight; its retry timer is the per-attempt timeout.
+  struct Pending : Query {
     dns::Bytes wire;  ///< for retransmission
-    ResolveCallback callback;
-    simnet::EventId timer;
-    int retries_left;
-    obs::SpanId span = 0;          ///< the resolution span
-    obs::SpanId request_span = 0;  ///< current attempt
-    int attempt = 0;
   };
 
   void on_datagram(const dns::Bytes& payload);
   void send_query(std::uint16_t dns_id);
   void on_timeout(std::uint16_t dns_id);
-  void finish(std::uint16_t dns_id, bool success, dns::Message response,
-              std::size_t response_bytes);
 
   simnet::Host& host_;
   simnet::Address server_;
   UdpClientConfig config_;
-  TransportMetrics tmetrics_;
-  CostMetrics cmetrics_;
+  QueryLedger ledger_;
   simnet::UdpSocket* socket_;
   std::uint16_t next_dns_id_ = 1;
-  std::uint64_t next_query_id_ = 0;
-  std::uint64_t completed_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::map<std::uint16_t, Pending> pending_;  ///< keyed by DNS message ID
-  std::vector<ResolutionResult> results_;     ///< indexed by query id
 };
 
 }  // namespace dohperf::core
