@@ -159,11 +159,10 @@ void DohClient::abort_connection(std::shared_ptr<Stack>& stack) {
 }
 
 void DohClient::reissue_from(const std::shared_ptr<Stack>& old,
-                             ReissueCause) {
-  // A promoted racer's queries, too, go through the connection-loss path:
-  // each waits one backoff before it moves to the new stack.
+                             ReissueCause cause) {
+  // A promoted racer's queries move to it at once (kMigration), as DoT's do.
   const std::shared_ptr<Stack> stack = old;  // on_stack_error may reset `old`
-  on_stack_error(stack);
+  on_stack_error(stack, cause);
 }
 
 std::shared_ptr<DohClient::Stack> DohClient::stack_for_query(

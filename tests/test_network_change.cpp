@@ -315,6 +315,9 @@ struct RaceWorld {
   const core::MigrationStats& stats() const {
     return dot ? dot->migration_stats() : doh->migration_stats();
   }
+  const core::RetryStats& retry_stats() const {
+    return dot ? dot->retry_stats() : doh->retry_stats();
+  }
   std::uint64_t conn_opens() const {
     return metrics.counter(dot ? "client.dot.conn_open"
                                : "client.doh_h2.conn_open");
@@ -356,7 +359,8 @@ TEST_F(MigrationClientTest, RaceFreshPathWinsResumesOnce) {
   for (const std::string transport : {"dot", "doh"}) {
     SCOPED_TRACE(transport);
     tlssim::SessionCache cache;
-    RaceWorld w(transport, retry_policy(), &cache);
+    obs::Tracer tracer;
+    RaceWorld w(transport, retry_policy(), &cache, &tracer);
     w.resolve_at(0, "one.example.com");
     // A silent NAT rebind black-holes the connection under two queries:
     // the stall timer races a fresh connection, which resumes from the
@@ -373,6 +377,33 @@ TEST_F(MigrationClientTest, RaceFreshPathWinsResumesOnce) {
     EXPECT_EQ(m.full_handshakes, 1u);
     EXPECT_EQ(m.resumed_handshakes, 1u);
     ledgers.push_back(m);
+    // The promoted racer's queries move over as a migration: each retry
+    // reads reason=migration and its next attempt starts at that instant,
+    // with no backoff and no reconnect.
+    EXPECT_EQ(w.retry_stats().reconnects, 0u);
+    int retries = 0;
+    for (const auto& retry : tracer.spans()) {
+      if (retry.name != "retry") continue;
+      ++retries;
+      const obs::AttrValue* reason = retry.attr("reason");
+      ASSERT_NE(reason, nullptr);
+      EXPECT_EQ(std::get<std::string>(*reason), "migration");
+      const obs::AttrValue* tried = retry.attr("attempt");
+      ASSERT_NE(tried, nullptr);
+      const std::int64_t attempt = std::get<std::int64_t>(*tried) + 1;
+      int resent = 0;
+      for (const auto& request : tracer.spans()) {
+        const obs::AttrValue* a = request.attr("attempt");
+        if (request.name != "request" || request.parent != retry.parent ||
+            a == nullptr || std::get<std::int64_t>(*a) != attempt) {
+          continue;
+        }
+        ++resent;
+        EXPECT_EQ(request.start, retry.start);
+      }
+      EXPECT_EQ(resent, 1);
+    }
+    EXPECT_EQ(retries, 2);  // two.example.com and three.example.com
   }
   // One race, one handshake ledger: DoT and DoH pay the same.
   const auto& dot = ledgers[0];
