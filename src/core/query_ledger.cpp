@@ -15,13 +15,12 @@ QueryLedger::QueryLedger(simnet::EventLoop& loop, const obs::SpanContext& obs,
 
 std::uint64_t QueryLedger::open(Query& q, const dns::Name& name,
                                 dns::RType type, ResolveCallback callback) {
-  q.id = results_.size();
+  q.id = results_.open(loop_.now());
   q.callback = std::move(callback);
   q.name = name;
   q.type = type;
   q.retry.retries_left = max_retries_;
   q.retry.span = obs_begin_resolution(obs_, metrics_, transport_, name, type);
-  results_.emplace_back().sent_at = loop_.now();
   return q.id;
 }
 
@@ -57,7 +56,7 @@ void QueryLedger::finish(Query& q, bool success, dns::Message response,
     result.cost.dns_message_bytes += response_bytes;
     result.response = std::move(response);
   }
-  ++completed_;
+  results_.mark_completed();
   obs_.end(q.retry.request_span);
   q.retry.request_span = 0;
   if (charge_on_finish_) charge(q.retry.span, result.cost);

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "core/client.hpp"
 #include "core/obs_hooks.hpp"
@@ -90,7 +89,7 @@ class QueryLedger {
   const ResolutionResult& result(std::uint64_t id) const {
     return results_.at(id);
   }
-  std::size_t completed() const noexcept { return completed_; }
+  std::size_t completed() const noexcept { return results_.completed(); }
 
  private:
   simnet::EventLoop& loop_;
@@ -100,8 +99,7 @@ class QueryLedger {
   bool charge_on_finish_;
   TransportMetrics metrics_;
   CostMetrics cost_metrics_;
-  std::vector<ResolutionResult> results_;  ///< indexed by query id
-  std::size_t completed_ = 0;
+  ResultStore results_;
 };
 
 }  // namespace dohperf::core
