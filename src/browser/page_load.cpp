@@ -50,9 +50,7 @@ void PageLoader::load(const workload::Page& page,
   config_.obs.set_attr(page_span_, "objects",
                        static_cast<std::int64_t>(page_.objects.size()));
   page_obs_ = config_.obs.child(page_span_);
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_pages_);
-  }
+  config_.obs.count(m_pages_);
   // Everything that must complete before onload: the HTML + all objects.
   objects_outstanding_ = page_.objects.size() + 1;
 
@@ -69,9 +67,7 @@ void PageLoader::resolve_origin(const dns::Name& domain) {
   const obs::SpanId span = page_obs_.begin("resolve_origin");
   page_obs_.set_attr(span, "domain", domain.to_string());
   resolve_spans_[domain] = span;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_dns_queries_);
-  }
+  config_.obs.count(m_dns_queries_);
   resolver_.resolve(domain, dns::RType::kA,
                     [this, domain](const core::ResolutionResult& r) {
                       on_resolved(domain, r);
@@ -169,9 +165,7 @@ void PageLoader::pump_origin(const dns::Name& domain) {
     page_obs_.set_attr(fetch_span, "bytes",
                        static_cast<std::int64_t>(bytes));
     fetch_spans_[index] = fetch_span;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_fetches_);
-    }
+    config_.obs.count(m_fetches_);
 
     ++best->outstanding;
     Connection* conn_ptr = best;
@@ -201,9 +195,7 @@ void PageLoader::on_object_done(int object_index, bool success) {
     ++result_.objects_fetched;
   } else {
     ++result_.fetch_failures;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_fetch_failures_);
-    }
+    config_.obs.count(m_fetch_failures_);
   }
   --objects_outstanding_;
 

@@ -28,12 +28,11 @@
 #include <variant>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "simnet/event_loop.hpp"
 #include "simnet/time.hpp"
 
 namespace dohperf::obs {
-
-class Registry;
 
 /// 1-based index into the tracer's span table; 0 = "no span".
 using SpanId = std::uint64_t;
@@ -194,6 +193,26 @@ struct SpanContext {
   }
   void add_attr(SpanId id, std::string_view key, std::int64_t delta) const {
     if (tracer) tracer->add_attr(id, key, delta);
+  }
+  /// Metric writes, by handle or by name; no-ops when no registry is
+  /// attached (a name is only looked up when one is).
+  void count(MetricId id, std::uint64_t delta = 1) const {
+    if (metrics) metrics->add(id, delta);
+  }
+  void count(std::string_view name, std::uint64_t delta = 1) const {
+    if (metrics) metrics->add(std::string(name), delta);
+  }
+  void observe(MetricId id, double value) const {
+    if (metrics) metrics->observe(id, value);
+  }
+  void observe(std::string_view name, double value) const {
+    if (metrics) metrics->observe(std::string(name), value);
+  }
+  void set_gauge(MetricId id, std::int64_t value) const {
+    if (metrics) metrics->set_gauge(id, value);
+  }
+  void set_gauge(std::string_view name, std::int64_t value) const {
+    if (metrics) metrics->set_gauge(std::string(name), value);
   }
   /// A context whose children hang under `span` (same tracer/registry).
   SpanContext child(SpanId span) const {

@@ -88,9 +88,7 @@ simnet::TimeUs Engine::next_service_time() {
   if (config_.upstream.cache_hit_ratio < 1.0 &&
       cache_rng_.next_double() >= config_.upstream.cache_hit_ratio) {
     ++stats_.cache_misses;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_cache_misses_);
-    }
+    config_.obs.count(m_cache_misses_);
     t += simnet::from_sec(upstream_latency_.sample() / 1e3);
   }
   return t;
@@ -115,13 +113,12 @@ void Engine::handle(const dns::Message& query, const QueryContext& context,
   (void)context;  // policy-free back-end: the tier consumes the context
   ++stats_.queries;
   bind_obs_ids();
-  obs::Registry* metrics = config_.obs.metrics;
-  if (metrics != nullptr) metrics->add(m_queries_);
+  config_.obs.count(m_queries_);
   simnet::TimeUs service = next_service_time();
   const auto& dp = config_.delay_policy;
   if (dp.every_n > 0 && stats_.queries % dp.every_n == 0) {
     ++stats_.delayed;
-    if (metrics != nullptr) metrics->add(m_delayed_);
+    config_.obs.count(m_delayed_);
     service += dp.delay;
   }
 
@@ -133,12 +130,12 @@ void Engine::handle(const dns::Message& query, const QueryContext& context,
     const double u = fault_rng_.next_double();
     if (u < fp.stall_rate) {
       ++stats_.stalled;
-      if (metrics != nullptr) metrics->add(m_stalled_);
+      config_.obs.count(m_stalled_);
       return;  // accept-then-never-answer: the continuation is dropped
     }
     if (u < fp.stall_rate + fp.servfail_rate) {
       ++stats_.injected_servfail;
-      if (metrics != nullptr) metrics->add(m_servfail_injected_);
+      config_.obs.count(m_servfail_injected_);
       dns::Message error = dns::Message::make_error(query, dns::Rcode::kServFail);
       loop_.schedule_in(service, [done = std::move(done),
                                   error = std::move(error)]() mutable {
@@ -148,7 +145,7 @@ void Engine::handle(const dns::Message& query, const QueryContext& context,
     }
     if (u < fp.stall_rate + fp.servfail_rate + fp.refused_rate) {
       ++stats_.injected_refused;
-      if (metrics != nullptr) metrics->add(m_refused_injected_);
+      config_.obs.count(m_refused_injected_);
       dns::Message error = dns::Message::make_error(query, dns::Rcode::kRefused);
       loop_.schedule_in(service, [done = std::move(done),
                                   error = std::move(error)]() mutable {
@@ -163,7 +160,7 @@ void Engine::handle(const dns::Message& query, const QueryContext& context,
       (response.flags.rcode == dns::Rcode::kNoError &&
        response.answers.empty() && !response.questions.empty())) {
     ++stats_.negative_answers;
-    if (metrics != nullptr) metrics->add(m_negative_answers_);
+    config_.obs.count(m_negative_answers_);
   }
   loop_.schedule_in(service, [done = std::move(done),
                               response = std::move(response)]() mutable {

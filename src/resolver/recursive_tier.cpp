@@ -48,16 +48,6 @@ RecursiveTier::RecursiveTier(simnet::EventLoop& loop, QueryHandler& upstream,
   }
 }
 
-void RecursiveTier::count(obs::MetricId id, std::uint64_t delta) {
-  if (config_.obs.metrics != nullptr) config_.obs.metrics->add(id, delta);
-}
-
-void RecursiveTier::set_gauge(obs::MetricId id, std::int64_t value) {
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->set_gauge(id, value);
-  }
-}
-
 void RecursiveTier::bind_obs_ids() {
   obs::Registry* r = config_.obs.metrics;
   if (r == bound_metrics_) return;
@@ -99,7 +89,7 @@ void RecursiveTier::shed(const dns::Message& query,
     case ShedReason::kFairness: ++stats_.shed_fairness; break;
     case ShedReason::kRetryBudget: ++stats_.shed_retry_budget; break;
   }
-  count(m_shed_[r]);
+  config_.obs.count(m_shed_[r]);
   ++stats_.per_client[context.client].shed;
   if (config_.obs) {
     const obs::SpanId span = config_.obs.begin("shed");
@@ -126,11 +116,8 @@ void RecursiveTier::deliver(Job& job, const dns::Message& response) {
   copy.id = job.query.id;
   ++stats_.served;
   ++stats_.per_client[job.context.client].served;
-  count(m_served_);
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->observe(m_latency_ms_,
-                                 simnet::to_ms(loop_.now() - job.arrived));
-  }
+  config_.obs.count(m_served_);
+  config_.obs.observe(m_latency_ms_, simnet::to_ms(loop_.now() - job.arrived));
   job.done(std::move(copy));
 }
 
@@ -181,7 +168,7 @@ void RecursiveTier::cache_insert(const Key& key,
     }
     cache_.erase(victim);
     ++stats_.cache_evictions;
-    count(m_cache_evictions_);
+    config_.obs.count(m_cache_evictions_);
   }
   cache_[key] = CacheEntry{response, loop_.now() + simnet::seconds(ttl)};
   ++stats_.cache_insertions;
@@ -213,8 +200,9 @@ void RecursiveTier::handle(const dns::Message& query,
   ++stats_.requests;
   ++stats_.per_client[context.client].requests;
   bind_obs_ids();
-  count(m_requests_);
-  count(m_requests_transport_[static_cast<std::size_t>(context.transport)]);
+  config_.obs.count(m_requests_);
+  config_.obs.count(
+      m_requests_transport_[static_cast<std::size_t>(context.transport)]);
 
   obs::SpanId span = 0;
   if (config_.obs) {
@@ -247,7 +235,8 @@ void RecursiveTier::handle(const dns::Message& query,
   //    sees every request, not just misses.
   if (fairness_) {
     const bool admitted = fairness_->admit(context.client, loop_.now());
-    count(admitted ? m_fairness_admitted_ : m_fairness_throttled_);
+    config_.obs.count(admitted ? m_fairness_admitted_
+                               : m_fairness_throttled_);
     if (!admitted) {
       decide("shed_fairness");
       shed(query, context, std::move(done), ShedReason::kFairness);
@@ -265,11 +254,11 @@ void RecursiveTier::handle(const dns::Message& query,
   job.cached = cache_lookup(key, query);
   if (job.cached.has_value()) {
     ++stats_.cache_hits;
-    count(m_cache_hits_);
+    config_.obs.count(m_cache_hits_);
     decide("hit");
   } else {
     ++stats_.cache_misses;
-    count(m_cache_misses_);
+    config_.obs.count(m_cache_misses_);
     // 3. Retry budget, misses only: a repeat (client, name, type) among
     //    misses inside retry_window is a retransmission/re-issue — the
     //    original is still queued/in flight, or was shed/failed (a repeat
@@ -280,7 +269,7 @@ void RecursiveTier::handle(const dns::Message& query,
     if (retry_budget_) {
       if (detect_retry(key, context)) {
         ++stats_.retries_detected;
-        count(m_retries_detected_);
+        config_.obs.count(m_retries_detected_);
         if (!retry_budget_->try_withdraw()) {
           decide("shed_retry_budget");
           shed(job.query, job.context, std::move(job.done),
@@ -297,7 +286,7 @@ void RecursiveTier::handle(const dns::Message& query,
       const auto it = pending_.find(key);
       if (it != pending_.end()) {
         ++stats_.coalesced;
-        count(m_coalesced_);
+        config_.obs.count(m_coalesced_);
         decide("coalesced");
         it->second.waiters.push_back(std::move(job));
         return;
@@ -322,7 +311,8 @@ void RecursiveTier::handle(const dns::Message& query,
 
   queue_.push_back(std::move(job));
   if (queue_.size() > stats_.queue_peak) stats_.queue_peak = queue_.size();
-  set_gauge(m_queue_depth_, static_cast<std::int64_t>(queue_.size()));
+  config_.obs.set_gauge(m_queue_depth_,
+                        static_cast<std::int64_t>(queue_.size()));
   pump();
 }
 
@@ -330,7 +320,8 @@ void RecursiveTier::pump() {
   while (inflight_ < config_.workers && !queue_.empty()) {
     Job job = std::move(queue_.front());
     queue_.pop_front();
-    set_gauge(m_queue_depth_, static_cast<std::int64_t>(queue_.size()));
+    config_.obs.set_gauge(m_queue_depth_,
+                        static_cast<std::int64_t>(queue_.size()));
     const simnet::TimeUs waited = loop_.now() - job.arrived;
     // Deadline-aware shedding: if the client has (probably) given up by the
     // time service would finish, answering is wasted work.
@@ -340,13 +331,11 @@ void RecursiveTier::pump() {
            ShedReason::kDeadline);
       continue;
     }
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->observe(m_queue_wait_ms_, simnet::to_ms(waited));
-    }
+    config_.obs.observe(m_queue_wait_ms_, simnet::to_ms(waited));
     dispatch(std::move(job));
   }
   if (admission_) {
-    set_gauge(m_admission_limit_,
+    config_.obs.set_gauge(m_admission_limit_,
               static_cast<std::int64_t>(admission_->limit()));
   }
 }
@@ -354,7 +343,7 @@ void RecursiveTier::pump() {
 void RecursiveTier::dispatch(Job job) {
   ++inflight_;
   if (inflight_ > stats_.inflight_peak) stats_.inflight_peak = inflight_;
-  set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
+  config_.obs.set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
 
   if (job.cached.has_value()) {
     // Serve from cache after the hit-processing cost; the slot is held for
@@ -364,7 +353,7 @@ void RecursiveTier::dispatch(Job job) {
       if (admission_) admission_->record(loop_.now() - job.arrived);
       deliver(job, *job.cached);
       --inflight_;
-      set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
+      config_.obs.set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
       pump();
     });
     return;
@@ -383,7 +372,7 @@ void RecursiveTier::dispatch(Job job) {
     loop_.schedule_in(config_.service_timeout, [this, key, settled]() {
       if (*settled) return;
       ++stats_.upstream_timeouts;
-      count(m_upstream_timeouts_);
+      config_.obs.count(m_upstream_timeouts_);
       dns::Message timeout_error;
       // Synthesize SERVFAIL from the first waiter's query below.
       complete(key, std::move(timeout_error), /*timed_out=*/true);
@@ -419,7 +408,7 @@ void RecursiveTier::complete(const Key& key, dns::Message response,
     deliver(waiter, response);
   }
   --inflight_;
-  set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
+  config_.obs.set_gauge(m_inflight_, static_cast<std::int64_t>(inflight_));
   pump();
 }
 

@@ -190,8 +190,6 @@ class RecursiveTier final : public QueryHandler {
   /// True when the request is a retry (same client/name/type seen within
   /// retry_window). Updates the seen map either way.
   bool detect_retry(const Key& key, const QueryContext& context);
-  void count(obs::MetricId id, std::uint64_t delta = 1);
-  void set_gauge(obs::MetricId id, std::int64_t value);
   /// Re-register the tier.* / fairness.* handles when the registry changes.
   void bind_obs_ids();
 
