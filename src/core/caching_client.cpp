@@ -5,8 +5,6 @@
 #include <utility>
 #include <variant>
 
-#include "obs/registry.hpp"
-
 namespace dohperf::core {
 
 namespace {
@@ -28,19 +26,10 @@ const dns::ResourceRecord* find_soa(const dns::Message& response) {
 CachingResolverClient::CachingResolverClient(simnet::EventLoop& loop,
                                              ResolverClient& upstream,
                                              CacheConfig config)
-    : loop_(loop), upstream_(upstream), config_(config) {}
-
-bool CachingResolverClient::usable(const ResolutionResult& r) {
-  if (!r.success) return false;
-  const dns::Rcode rcode = r.response.flags.rcode;
-  // SERVFAIL/REFUSED mean the resolver is unhealthy, exactly the condition
-  // RFC 8767 serves stale data through; only NOERROR and NXDOMAIN are
-  // definitive answers worth caching or surfacing over a stale copy.
-  return rcode == dns::Rcode::kNoError || rcode == dns::Rcode::kNxDomain;
-}
+    : PolicyClient(loop, config.obs), upstream_(upstream), config_(config) {}
 
 void CachingResolverClient::bind_obs_ids() {
-  obs::Registry* r = config_.obs.metrics;
+  obs::Registry* r = obs_.metrics;
   if (r == bound_metrics_) return;
   bound_metrics_ = r;
   if (r == nullptr) return;
@@ -62,12 +51,11 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
                                              dns::RType type,
                                              ResolveCallback callback) {
   bind_obs_ids();
-  const std::uint64_t id = results_.size();
-  results_.emplace_back();
+  const std::uint64_t id = open();
   staleness_.push_back(0);
   const Key key{name, type};
   const simnet::TimeUs now = loop_.now();
-  const obs::SpanId lookup = config_.obs.begin("cache_lookup");
+  const obs::SpanId lookup = obs_.begin("cache_lookup");
 
   bool stale_available = false;
   const auto it = entries_.find(key);
@@ -75,33 +63,20 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
     Entry& entry = it->second;
     if (entry.expires_at > now) {
       ++stats_.hits;
-      config_.obs.set_attr(lookup, "hit", true);
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add(m_hits_);
-      }
+      obs_.set_attr(lookup, "hit", true);
+      obs_.count(m_hits_);
       if (entry.negative) {
         ++stats_.negative_hits;
-        config_.obs.set_attr(lookup, "negative", true);
-        if (config_.obs.metrics != nullptr) {
-          config_.obs.metrics->add(m_negative_hits_);
-        }
+        obs_.set_attr(lookup, "negative", true);
+        obs_.count(m_negative_hits_);
       }
-      config_.obs.end(lookup);
+      obs_.end(lookup);
       touch(entry);
-      ResolutionResult result;
-      result.success = true;
-      result.sent_at = now;
-      result.completed_at = now;
-      result.response = entry.response;
-      results_[id] = std::move(result);
-      ++completed_;
+      ResolutionResult hit;
+      hit.success = true;
+      hit.response = entry.response;
       maybe_refresh_ahead(key, entry);
-      if (callback) {
-        // Copy: a reentrant resolve() inside the callback may reallocate
-        // results_, so the stored element must not be passed by reference.
-        const ResolutionResult snapshot = results_[id];
-        callback(snapshot);
-      }
+      deliver(id, std::move(hit), std::move(callback));
       return id;
     }
     if (config_.max_stale > 0 &&
@@ -109,25 +84,20 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
       stale_available = true;  // kept: may be served while the refresh runs
     } else {
       ++stats_.expirations;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add(m_expirations_);
-      }
+      obs_.count(m_expirations_);
       entries_.erase(it);
     }
   }
 
   ++stats_.misses;
-  config_.obs.set_attr(lookup, "hit", false);
-  config_.obs.end(lookup);
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_misses_);
-  }
+  obs_.set_attr(lookup, "hit", false);
+  obs_.end(lookup);
+  obs_.count(m_misses_);
 
   const auto [fit, first_for_key] = inflight_.try_emplace(key);
   Waiter waiter;
   waiter.id = id;
   waiter.callback = std::move(callback);
-  waiter.asked_at = now;
   if (stale_available) {
     waiter.stale_timer = loop_.schedule_in(
         config_.stale_serve_delay,
@@ -136,14 +106,12 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
   fit->second.waiters.push_back(std::move(waiter));
   if (!first_for_key) {
     ++stats_.coalesced;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_coalesced_);
-    }
-    const obs::SpanId join = config_.obs.begin("coalesce_join");
-    config_.obs.set_attr(
+    obs_.count(m_coalesced_);
+    const obs::SpanId join = obs_.begin("coalesce_join");
+    obs_.set_attr(
         join, "waiters",
         static_cast<std::int64_t>(fit->second.waiters.size()));
-    config_.obs.end(join);
+    obs_.end(join);
     return id;
   }
   start_upstream(key);
@@ -152,9 +120,7 @@ std::uint64_t CachingResolverClient::resolve(const dns::Name& name,
 
 void CachingResolverClient::start_upstream(const Key& key) {
   ++stats_.upstream_queries;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_upstream_queries_);
-  }
+  obs_.count(m_upstream_queries_);
   upstream_.resolve(key.name, key.type,
                     [this, key](const ResolutionResult& r) {
                       on_upstream_done(key, r);
@@ -167,9 +133,7 @@ void CachingResolverClient::maybe_refresh_ahead(const Key& key,
   if (entry.expires_at - loop_.now() > config_.refresh_ahead) return;
   if (inflight_.find(key) != inflight_.end()) return;  // refresh in flight
   ++stats_.proactive_refreshes;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_proactive_refreshes_);
-  }
+  obs_.count(m_proactive_refreshes_);
   inflight_.try_emplace(key);  // no waiters: a pure background refresh
   start_upstream(key);
 }
@@ -179,15 +143,19 @@ void CachingResolverClient::on_upstream_done(const Key& key,
   // Detach the in-flight record first: callbacks may re-resolve the same
   // key, which must start a fresh upstream query, not find this one.
   auto node = inflight_.extract(key);
-  const bool answer_usable = usable(r);
+  const bool answer_usable = definitive(r);
   if (answer_usable) insert(key, r.response);
   if (node.empty()) return;
 
   // The wire cost is charged to the first waiter that receives the
   // upstream answer; coalesced joiners added nothing to the wire.
-  ResolutionResult uncharged = r;
-  uncharged.cost = CostReport{};
   bool cost_charged = false;
+  const auto upstream_answer = [&]() {
+    ResolutionResult out = r;
+    if (cost_charged) out.cost = CostReport{};
+    cost_charged = true;
+    return out;
+  };
   bool repaired_stale_serve = false;
   for (Waiter& waiter : node.mapped().waiters) {
     if (waiter.answered) {
@@ -195,24 +163,16 @@ void CachingResolverClient::on_upstream_done(const Key& key,
       continue;
     }
     loop_.cancel(waiter.stale_timer);
-    if (answer_usable) {
-      deliver(waiter, cost_charged ? uncharged : r);
-      cost_charged = true;
-      continue;
-    }
-    if (config_.max_stale > 0 &&
+    if (!answer_usable && config_.max_stale > 0 &&
         serve_stale(key, waiter,
                     r.success ? "rcode_failure" : "upstream_failure")) {
       continue;
     }
-    deliver(waiter, cost_charged ? uncharged : r);  // surface the failure
-    cost_charged = true;
+    answer(waiter, upstream_answer());  // the answer, or the failure
   }
   if (answer_usable && repaired_stale_serve) {
     ++stats_.revalidations;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_revalidations_);
-    }
+    obs_.count(m_revalidations_);
   }
 }
 
@@ -238,39 +198,28 @@ bool CachingResolverClient::serve_stale(const Key& key, Waiter& waiter,
                                  : 0;
   if (age >= config_.max_stale) return false;  // beyond the stale window
   ++stats_.stale_serves;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_stale_serves_);
-    config_.obs.metrics->observe(m_staleness_age_ms_,
-                                 static_cast<double>(age) / 1e3);
-  }
-  const obs::SpanId span = config_.obs.begin("stale_serve");
-  config_.obs.set_attr(span, "staleness_ms",
+  obs_.count(m_stale_serves_);
+  obs_.observe(m_staleness_age_ms_, static_cast<double>(age) / 1e3);
+  const obs::SpanId span = obs_.begin("stale_serve");
+  obs_.set_attr(span, "staleness_ms",
                        static_cast<std::int64_t>(age / 1000));
-  config_.obs.set_attr(span, "reason", std::string(reason));
-  config_.obs.end(span);
+  obs_.set_attr(span, "reason", std::string(reason));
+  obs_.end(span);
   touch(entry);
   staleness_[waiter.id] = age;
   ResolutionResult stale;
   stale.success = true;
   stale.response = entry.response;
-  deliver(waiter, stale);
+  answer(waiter, std::move(stale));
   return true;
 }
 
-void CachingResolverClient::deliver(Waiter& waiter,
-                                    const ResolutionResult& r) {
+void CachingResolverClient::answer(Waiter& waiter, ResolutionResult r) {
   waiter.answered = true;
   loop_.cancel(waiter.stale_timer);
-  ResolveCallback callback = std::move(waiter.callback);
-  // Compose the result locally: the callback may re-enter resolve() and
-  // reallocate results_, so neither `waiter` nor a reference into the
-  // vector may be used after it runs.
-  ResolutionResult out = r;
-  out.sent_at = waiter.asked_at;
-  out.completed_at = loop_.now();
-  results_[waiter.id] = out;
-  ++completed_;
-  if (callback) callback(out);
+  // `waiter` may move once the callback runs (a reentrant resolve() can
+  // join the same in-flight key), so nothing reads it after deliver().
+  deliver(waiter.id, std::move(r), std::move(waiter.callback));
 }
 
 void CachingResolverClient::insert(const Key& key,
@@ -309,9 +258,7 @@ void CachingResolverClient::insert(const Key& key,
   entries_[key] = std::move(entry);
   if (negative) {
     ++stats_.negative_entries;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add(m_negative_entries_);
-    }
+    obs_.count(m_negative_entries_);
   }
 }
 
@@ -330,14 +277,7 @@ void CachingResolverClient::evict_if_needed() {
   }
   entries_.erase(victim);
   ++stats_.evictions;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->add(m_evictions_);
-  }
-}
-
-const ResolutionResult& CachingResolverClient::result(
-    std::uint64_t id) const {
-  return results_.at(id);
+  obs_.count(m_evictions_);
 }
 
 }  // namespace dohperf::core

@@ -29,10 +29,7 @@
 #include <map>
 #include <vector>
 
-#include "core/client.hpp"
-#include "obs/registry.hpp"
-#include "obs/span.hpp"
-#include "simnet/event_loop.hpp"
+#include "core/policy_client.hpp"
 
 namespace dohperf::core {
 
@@ -76,7 +73,7 @@ struct CacheStats {
   }
 };
 
-class CachingResolverClient final : public ResolverClient {
+class CachingResolverClient final : public PolicyClient {
  public:
   /// `upstream` must outlive this client.
   CachingResolverClient(simnet::EventLoop& loop, ResolverClient& upstream,
@@ -88,8 +85,6 @@ class CachingResolverClient final : public ResolverClient {
   /// delay passes.
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
 
   /// How far past its TTL the answer for `id` was when served; 0 for
   /// fresh hits and upstream answers (the per-answer staleness age).
@@ -100,7 +95,7 @@ class CachingResolverClient final : public ResolverClient {
   const CacheStats& stats() const noexcept { return stats_; }
   /// Rebind the tracing/metrics sink (per-query sampling hands each query
   /// a different context; metric handles re-bind automatically).
-  void set_obs(const obs::SpanContext& obs) noexcept { config_.obs = obs; }
+  void set_obs(const obs::SpanContext& obs) noexcept { obs_ = obs; }
 
   std::size_t size() const noexcept { return entries_.size(); }
   /// Drop every entry and reset the LRU sequence: a cleared cache is
@@ -130,18 +125,12 @@ class CachingResolverClient final : public ResolverClient {
   struct Waiter {
     std::uint64_t id = 0;
     ResolveCallback callback;
-    simnet::TimeUs asked_at = 0;
     simnet::EventId stale_timer;  ///< pending stale-serve deadline
     bool answered = false;        ///< already served stale
   };
   struct InFlight {
     std::vector<Waiter> waiters;  ///< empty for background refreshes
   };
-
-  /// True for answers worth acting on: transport success with NOERROR or
-  /// NXDOMAIN. SERVFAIL/REFUSED count as resolver failure (and trigger
-  /// serve-stale) per RFC 8767 §4.
-  static bool usable(const ResolutionResult& r);
 
   /// Re-register the cache.* handles when the registry changes.
   void bind_obs_ids();
@@ -156,9 +145,9 @@ class CachingResolverClient final : public ResolverClient {
   /// Serve `waiter` from the (expired) entry for `key`, if one is still
   /// within its stale window. Returns false when nothing stale remains.
   bool serve_stale(const Key& key, Waiter& waiter, const char* reason);
-  void deliver(Waiter& waiter, const ResolutionResult& r);
+  /// Answer `waiter` with `r` (see PolicyClient::deliver).
+  void answer(Waiter& waiter, ResolutionResult r);
 
-  simnet::EventLoop& loop_;
   ResolverClient& upstream_;
   CacheConfig config_;
   CacheStats stats_;
@@ -178,9 +167,7 @@ class CachingResolverClient final : public ResolverClient {
   std::map<Key, Entry> entries_;
   std::map<Key, InFlight> inflight_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t completed_ = 0;
-  std::vector<ResolutionResult> results_;
-  std::vector<simnet::TimeUs> staleness_;  ///< parallel to results_
+  std::vector<simnet::TimeUs> staleness_;  ///< indexed by query id
 };
 
 }  // namespace dohperf::core

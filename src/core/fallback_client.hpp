@@ -5,23 +5,13 @@
 // user-visible cost of a misbehaving DoH service at the fallback deadline.
 #pragma once
 
-#include <map>
-#include <vector>
-
-#include "core/client.hpp"
-#include "obs/span.hpp"
-#include "simnet/event_loop.hpp"
+#include "core/policy_client.hpp"
 
 namespace dohperf::core {
 
 struct FallbackConfig {
   /// How long to wait for the primary before also asking the fallback.
   simnet::TimeUs primary_deadline = simnet::ms(1500);
-  /// Treat a transport-successful primary answer carrying SERVFAIL/REFUSED
-  /// as a failure: an overloaded tier sheds with REFUSED, and surfacing
-  /// that as the resolution would turn server load-shedding into client
-  /// outage. Matches HealthTrackingClient's rcode_failures semantics.
-  bool rcode_failures = true;
   obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
 };
 
@@ -29,8 +19,10 @@ struct FallbackStats {
   std::uint64_t primary_wins = 0;    ///< primary answered in time
   std::uint64_t fallback_used = 0;   ///< deadline hit or primary failed
   std::uint64_t both_failed = 0;
-  /// Primary answered with SERVFAIL/REFUSED (server-side shedding): the
-  /// fallback was started instead of surfacing the shed answer.
+  /// Primary answered, but not definitively (definitive(): e.g. REFUSED
+  /// from a shedding tier): the fallback was started instead of
+  /// surfacing the answer, which would turn server load-shedding into a
+  /// client outage.
   std::uint64_t primary_shed = 0;
   std::uint64_t fallback_started = 0;  ///< fallback launched (won or not)
   /// Primary reported failure only after the fallback was already racing —
@@ -54,7 +46,7 @@ struct FallbackStats {
   }
 };
 
-class FallbackResolverClient final : public ResolverClient {
+class FallbackResolverClient final : public RacingClient {
  public:
   /// Both clients must outlive this one.
   FallbackResolverClient(simnet::EventLoop& loop, ResolverClient& primary,
@@ -63,40 +55,17 @@ class FallbackResolverClient final : public ResolverClient {
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
 
   const FallbackStats& stats() const noexcept { return stats_; }
 
  private:
-  struct Pending {
-    ResolveCallback callback;
-    dns::Name name;
-    dns::RType type = dns::RType::kA;
-    simnet::EventId deadline;
-    bool fallback_started = false;
-    bool done = false;
-    bool primary_done = false;  ///< primary callback has fired
-    obs::SpanId fallback_span = 0;  ///< open while the fallback races
-  };
+  std::optional<obs::SpanId> admit_secondary(std::uint64_t id) override;
+  void on_answer(std::uint64_t id, const Race& race, bool from_primary,
+                 const ResolutionResult& r) override;
+  void on_late_answer(bool from_primary, const ResolutionResult& r) override;
 
-  void finish(std::uint64_t id, const ResolutionResult& r, bool from_primary);
-  void start_fallback(std::uint64_t id, const char* reason);
-  /// Transport success that isn't a shed rcode (see rcode_failures).
-  bool usable(const ResolutionResult& r) const;
-  /// Drop the pending entry once it is finished *and* the primary has
-  /// reported — the retention that lets a late primary answer be charged
-  /// to primary_wasted instead of vanishing.
-  void maybe_erase(std::uint64_t id);
-
-  simnet::EventLoop& loop_;
-  ResolverClient& primary_;
-  ResolverClient& fallback_;
   FallbackConfig config_;
   FallbackStats stats_;
-  std::uint64_t completed_ = 0;
-  std::vector<ResolutionResult> results_;
-  std::map<std::uint64_t, Pending> pending_;
 };
 
 }  // namespace dohperf::core

@@ -1,15 +1,14 @@
 #include "core/health_client.hpp"
 
 #include <stdexcept>
-
-#include "obs/registry.hpp"
+#include <string>
 
 namespace dohperf::core {
 
 HealthTrackingClient::HealthTrackingClient(
     simnet::EventLoop& loop, std::vector<ResolverClient*> resolvers,
     HealthConfig config)
-    : loop_(loop),
+    : PolicyClient(loop, config.obs),
       resolvers_(std::move(resolvers)),
       config_(config),
       health_(resolvers_.size()) {
@@ -33,19 +32,14 @@ int HealthTrackingClient::pick(const Pending& pending) const {
 std::uint64_t HealthTrackingClient::resolve(const dns::Name& name,
                                             dns::RType type,
                                             ResolveCallback callback) {
-  const std::uint64_t id = results_.size();
-  ResolutionResult placeholder;
-  placeholder.sent_at = loop_.now();
-  results_.push_back(placeholder);
-
-  Pending pending;
+  const std::uint64_t id = open();
+  Pending& pending = pending_[id];
   pending.callback = std::move(callback);
   pending.name = name;
   pending.type = type;
   pending.tried.assign(resolvers_.size(), false);
-  pending_.push_back(std::move(pending));
 
-  int resolver = pick(pending_[id]);
+  int resolver = pick(pending);
   if (resolver < 0) {
     // Every breaker open: desperation probe on the preferred resolver
     // rather than failing without sending anything.
@@ -56,18 +50,17 @@ std::uint64_t HealthTrackingClient::resolve(const dns::Name& name,
 }
 
 void HealthTrackingClient::dispatch(std::uint64_t id, std::size_t resolver) {
-  pending_[id].tried[resolver] = true;
+  Pending& pending = pending_.at(id);
+  pending.tried[resolver] = true;
   ResolverHealth& h = health_[resolver];
   if (h.state == BreakerState::kOpen && loop_.now() >= h.open_until) {
     h.state = BreakerState::kHalfOpen;  // this query is the probe
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("breaker.probes");
-    }
+    obs_.count("breaker.probes");
     export_state(resolver);
   }
   ++h.queries;
   resolvers_[resolver]->resolve(
-      pending_[id].name, pending_[id].type,
+      pending.name, pending.type,
       [this, id, resolver](const ResolutionResult& r) {
         on_result(id, resolver, r);
       });
@@ -75,55 +68,37 @@ void HealthTrackingClient::dispatch(std::uint64_t id, std::size_t resolver) {
 
 void HealthTrackingClient::on_result(std::uint64_t id, std::size_t resolver,
                                      const ResolutionResult& r) {
-  Pending& pending = pending_[id];
-  if (pending.done) return;
+  const auto it = pending_.find(id);
+  if (it == pending_.end()) return;
 
-  bool ok = r.success;
-  if (ok && config_.rcode_failures) {
-    const auto rcode = r.response.flags.rcode;
-    if (rcode == dns::Rcode::kServFail || rcode == dns::Rcode::kRefused) {
-      ok = false;
-    }
-  }
-
+  const bool ok = definitive(r);
   if (ok) {
     record_success(resolver);
   } else {
     record_failure(resolver);
-    const int next = pick(pending);
+    const int next = pick(it->second);
     if (next >= 0) {
       ++failovers_;
-      if (config_.obs.metrics != nullptr) {
-        config_.obs.metrics->add("health.failovers");
-      }
+      obs_.count("health.failovers");
       dispatch(id, static_cast<std::size_t>(next));
       return;
     }
     ++exhausted_;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("health.exhausted");
-    }
+    obs_.count("health.exhausted");
   }
 
-  pending.done = true;
-  ResolutionResult& out = results_[id];
-  const auto sent_at = out.sent_at;
-  out = r;
-  out.sent_at = sent_at;  // latency from when *we* were asked
-  out.completed_at = loop_.now();
+  ResolveCallback callback = std::move(it->second.callback);
+  pending_.erase(it);
+  ResolutionResult out = r;
   out.success = ok;
-  ++completed_;
-  auto callback = std::move(pending.callback);
-  if (callback) callback(out);
+  deliver(id, std::move(out), std::move(callback));
 }
 
 void HealthTrackingClient::record_success(std::size_t resolver) {
   ResolverHealth& h = health_[resolver];
   h.consecutive_failures = 0;
   if (h.state != BreakerState::kClosed) {
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("breaker.closes");
-    }
+    obs_.count("breaker.closes");
     h.state = BreakerState::kClosed;  // probe success closes the breaker
     export_state(resolver);
   }
@@ -140,25 +115,18 @@ void HealthTrackingClient::record_failure(std::size_t resolver) {
     h.open_until = loop_.now() + config_.open_duration;
     h.consecutive_failures = 0;
     ++h.breaker_trips;
-    if (config_.obs.metrics != nullptr) {
-      config_.obs.metrics->add("breaker.trips");
-    }
+    obs_.count("breaker.trips");
     export_state(resolver);
   }
 }
 
 void HealthTrackingClient::export_state(std::size_t resolver) {
-  if (config_.obs.metrics == nullptr) return;
+  if (obs_.metrics == nullptr) return;  // skip building the name
   const ResolverHealth& h = health_[resolver];
   std::int64_t value = 0;
   if (h.state == BreakerState::kOpen) value = 1;
   if (h.state == BreakerState::kHalfOpen) value = 2;
-  config_.obs.metrics->set_gauge(
-      "breaker.state." + std::to_string(resolver), value);
-}
-
-const ResolutionResult& HealthTrackingClient::result(std::uint64_t id) const {
-  return results_.at(id);
+  obs_.set_gauge("breaker.state." + std::to_string(resolver), value);
 }
 
 }  // namespace dohperf::core

@@ -12,11 +12,10 @@
 // resolve() call.
 #pragma once
 
+#include <map>
 #include <vector>
 
-#include "core/client.hpp"
-#include "obs/span.hpp"
-#include "simnet/event_loop.hpp"
+#include "core/policy_client.hpp"
 
 namespace dohperf::core {
 
@@ -25,9 +24,6 @@ struct HealthConfig {
   int failure_threshold = 3;
   /// How long a tripped breaker stays open before a probe is allowed.
   simnet::TimeUs open_duration = simnet::seconds(5);
-  /// Treat SERVFAIL/REFUSED answers as failures for breaker accounting
-  /// (the transport worked, the service did not).
-  bool rcode_failures = true;
   obs::SpanContext obs;  ///< tracing/metrics sink (default: off)
 };
 
@@ -42,7 +38,11 @@ struct ResolverHealth {
   std::uint64_t breaker_trips = 0;
 };
 
-class HealthTrackingClient final : public ResolverClient {
+/// A resolver fails a query when its answer is not definitive()
+/// (SERVFAIL, REFUSED, FORMERR, NOTIMP or a transport failure: the
+/// transport may have worked, the service did not). A query that fails on
+/// every resolver surfaces the last answer with success = false.
+class HealthTrackingClient final : public PolicyClient {
  public:
   /// Resolvers are tried in the given preference order; all must outlive
   /// this client.
@@ -52,8 +52,6 @@ class HealthTrackingClient final : public ResolverClient {
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
 
   const ResolverHealth& health(std::size_t resolver) const {
     return health_.at(resolver);
@@ -68,7 +66,6 @@ class HealthTrackingClient final : public ResolverClient {
     dns::Name name;
     dns::RType type = dns::RType::kA;
     std::vector<bool> tried;  ///< one flag per resolver
-    bool done = false;
   };
 
   /// Preferred resolver currently willing to accept a query that has not
@@ -83,15 +80,12 @@ class HealthTrackingClient final : public ResolverClient {
   /// (0 closed, 1 open, 2 half-open).
   void export_state(std::size_t resolver);
 
-  simnet::EventLoop& loop_;
   std::vector<ResolverClient*> resolvers_;
   HealthConfig config_;
   std::vector<ResolverHealth> health_;
-  std::uint64_t completed_ = 0;
   std::uint64_t failovers_ = 0;
   std::uint64_t exhausted_ = 0;
-  std::vector<ResolutionResult> results_;
-  std::vector<Pending> pending_;
+  std::map<std::uint64_t, Pending> pending_;  ///< queries not yet answered
 };
 
 }  // namespace dohperf::core

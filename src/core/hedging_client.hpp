@@ -13,12 +13,7 @@
 // integer arithmetic on the virtual clock: seeded runs are byte-identical.
 #pragma once
 
-#include <map>
-#include <vector>
-
-#include "core/client.hpp"
-#include "obs/span.hpp"
-#include "simnet/event_loop.hpp"
+#include "core/policy_client.hpp"
 
 namespace dohperf::core {
 
@@ -46,7 +41,7 @@ struct HedgeStats {
   std::uint64_t wasted_wire_bytes = 0;  ///< wire cost of those late answers
 };
 
-class HedgingResolverClient final : public ResolverClient {
+class HedgingResolverClient final : public RacingClient {
  public:
   /// Both clients must outlive this one.
   HedgingResolverClient(simnet::EventLoop& loop, ResolverClient& primary,
@@ -54,46 +49,19 @@ class HedgingResolverClient final : public ResolverClient {
 
   std::uint64_t resolve(const dns::Name& name, dns::RType type,
                         ResolveCallback callback) override;
-  const ResolutionResult& result(std::uint64_t id) const override;
-  std::size_t completed() const override { return completed_; }
 
   const HedgeStats& stats() const noexcept { return stats_; }
 
  private:
-  struct Pending {
-    ResolveCallback callback;
-    dns::Name name;
-    dns::RType type = dns::RType::kA;
-    simnet::EventId hedge_timer;
-    bool hedged = false;        ///< secondary query issued
-    bool done = false;          ///< a winner was surfaced
-    bool primary_done = false;
-    bool secondary_done = false;
-    obs::SpanId hedge_span = 0;  ///< open while the hedge races
-  };
+  /// The hedge budget (see HedgeConfig::hedge_budget_permille).
+  std::optional<obs::SpanId> admit_secondary(std::uint64_t id) override;
+  void on_answer(std::uint64_t id, const Race& race, bool from_primary,
+                 const ResolutionResult& r) override;
+  void on_late_answer(bool from_primary, const ResolutionResult& r) override;
 
-  /// True for budget purposes and winner selection: transport success with
-  /// a definitive rcode (NOERROR or NXDOMAIN).
-  static bool usable(const ResolutionResult& r);
-
-  void start_hedge(std::uint64_t id, const char* reason);
-  void on_result(std::uint64_t id, bool from_primary,
-                 const ResolutionResult& r);
-  void finish(std::uint64_t id, const ResolutionResult& r,
-              bool from_primary);
-  /// Erase the pending entry once both sides have reported (or will never
-  /// report), keeping late-loser accounting alive until then.
-  void maybe_erase(std::uint64_t id);
-
-  simnet::EventLoop& loop_;
-  ResolverClient& primary_;
-  ResolverClient& secondary_;
   HedgeConfig config_;
   HedgeStats stats_;
   std::uint64_t started_ = 0;  ///< resolve() calls, the budget denominator
-  std::uint64_t completed_ = 0;
-  std::vector<ResolutionResult> results_;
-  std::map<std::uint64_t, Pending> pending_;
 };
 
 }  // namespace dohperf::core

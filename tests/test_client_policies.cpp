@@ -248,6 +248,53 @@ TEST_F(CacheTest, ServeStaleOnUpstreamFailure) {
   EXPECT_GT(cache->staleness_age(id), 0u);
 }
 
+TEST_F(CacheTest, StaleServeCallbackMayResolveThroughTheCache) {
+  // Two coalesced waiters on an expired entry, the resolver dark: the
+  // failed refresh serves both stale. The first waiter's callback resolves
+  // a new name through the cache, which opens an upstream query; the
+  // upstream result being delivered must survive that.
+  CacheConfig config;
+  config.max_stale = simnet::seconds(60);
+  config.stale_serve_delay = simnet::seconds(10);  // failure path, not timer
+  start(config);
+  upstream = std::make_unique<UdpResolverClient>(
+      client, simnet::Address{server.id(), 53},
+      UdpClientConfig{.timeout = simnet::ms(300), .max_retries = 0});
+  cache = std::make_unique<CachingResolverClient>(loop, *upstream, config);
+
+  cache->resolve(name("a.example.com"), dns::RType::kA, {});
+  loop.run();
+  loop.schedule_in(simnet::seconds(301), []() {});  // past TTL, within stale
+  loop.run();
+  udp_server.reset();
+
+  std::vector<ResolutionResult> observed;
+  bool nested_failed = false;
+  cache->resolve(name("a.example.com"), dns::RType::kA,
+                 [&](const ResolutionResult& r) {
+                   observed.push_back(r);
+                   for (int i = 0; i < 4; ++i) {
+                     cache->resolve(
+                         name("b" + std::to_string(i) + ".example.com"),
+                         dns::RType::kA, [&](const ResolutionResult& n) {
+                           nested_failed = !n.success;
+                         });
+                   }
+                   EXPECT_TRUE(r.success);
+                 });
+  cache->resolve(name("a.example.com"), dns::RType::kA,
+                 [&](const ResolutionResult& r) { observed.push_back(r); });
+  loop.run();
+  ASSERT_EQ(observed.size(), 2u);
+  for (const ResolutionResult& r : observed) {
+    EXPECT_TRUE(r.success);
+    EXPECT_EQ(r.resolution_time(), simnet::ms(300));
+  }
+  EXPECT_EQ(cache->stats().coalesced, 1u);
+  EXPECT_EQ(cache->stats().stale_serves, 2u);
+  EXPECT_TRUE(nested_failed);  // the new names have nothing stale
+}
+
 TEST_F(CacheTest, StaleServeDelayAnswersWhileRefreshStillRunning) {
   CacheConfig config;
   config.max_stale = simnet::seconds(60);
@@ -688,18 +735,70 @@ TEST_F(ShedInterplayTest, FallbackRescuesSheddingPrimary) {
   EXPECT_LT(observed.resolution_time(), simnet::ms(500));
 }
 
-TEST_F(ShedInterplayTest, RcodeFailuresOffSurfacesTheShed) {
+/// Answers every query `delay` after it is asked with a transport success
+/// carrying `rcode`: a resolver whose answers the simulated servers only
+/// produce for malformed queries.
+class RcodeClient final : public ResolverClient {
+ public:
+  RcodeClient(simnet::EventLoop& loop, dns::Rcode rcode,
+              simnet::TimeUs delay)
+      : loop_(loop), rcode_(rcode), delay_(delay) {}
+
+  std::uint64_t resolve(const dns::Name&, dns::RType,
+                        ResolveCallback callback) override {
+    const std::uint64_t id = results_.open(loop_.now());
+    loop_.schedule_in(delay_, [this, id, callback = std::move(callback)]() {
+      ResolutionResult& r = results_.at(id);
+      r.success = true;
+      r.response.flags.rcode = rcode_;
+      r.completed_at = loop_.now();
+      results_.mark_completed();
+      callback(r);
+    });
+    return id;
+  }
+  const ResolutionResult& result(std::uint64_t id) const override {
+    return results_.at(id);
+  }
+  std::size_t completed() const override { return results_.completed(); }
+
+ private:
+  simnet::EventLoop& loop_;
+  dns::Rcode rcode_;
+  simnet::TimeUs delay_;
+  ResultStore results_;
+};
+
+TEST_F(ShedInterplayTest, FormErrPrimaryStartsTheFallback) {
   start();
-  FallbackConfig config;
-  config.rcode_failures = false;  // pre-fix behaviour, now opt-in
-  FallbackResolverClient trr(loop, *doh, *udp, config);
+  RcodeClient formerr(loop, dns::Rcode::kFormErr, simnet::ms(10));
+  FallbackResolverClient trr(loop, formerr, *udp, {});
   ResolutionResult observed;
   trr.resolve(name("a.example.com"), dns::RType::kA,
               [&](const ResolutionResult& r) { observed = r; });
   loop.run();
-  EXPECT_EQ(observed.response.flags.rcode, dns::Rcode::kRefused);
-  EXPECT_EQ(trr.stats().primary_shed, 0u);
-  EXPECT_EQ(trr.stats().fallback_used, 0u);
+  // FORMERR is not definitive: the fallback answers, long before the
+  // 1500 ms deadline.
+  EXPECT_TRUE(observed.success);
+  EXPECT_EQ(observed.response.flags.rcode, dns::Rcode::kNoError);
+  EXPECT_EQ(trr.stats().primary_shed, 1u);
+  EXPECT_EQ(trr.stats().fallback_used, 1u);
+  EXPECT_EQ(trr.stats().primary_wins, 0u);
+  EXPECT_LT(observed.resolution_time(), simnet::ms(500));
+}
+
+TEST_F(ShedInterplayTest, NotImpFailsOverToTheNextResolver) {
+  start();
+  RcodeClient notimp(loop, dns::Rcode::kNotImp, simnet::ms(10));
+  HealthTrackingClient health(loop, {&notimp, udp.get()}, {});
+  ResolutionResult observed;
+  health.resolve(name("a.example.com"), dns::RType::kA,
+                 [&](const ResolutionResult& r) { observed = r; });
+  loop.run();
+  EXPECT_TRUE(observed.success);
+  EXPECT_EQ(observed.response.flags.rcode, dns::Rcode::kNoError);
+  EXPECT_EQ(health.failovers(), 1u);
+  EXPECT_EQ(health.health(0).failures, 1u);
 }
 
 TEST_F(ShedInterplayTest, ShedRefusedTripsTheBreaker) {
