@@ -4,8 +4,9 @@
 // Two inventories are extracted with detlint's lexer (no execution, no
 // libclang):
 //
-//   * metric names: every string literal in src/ matching the documented
-//     resolver-tier families (tier.* / cache.* / hedge.* / fairness.*).  A
+//   * metric names: every string literal in src/ matching one of the
+//     documented metric families (kFamilies below: tier.* / cache.* /
+//     hedge.* / fallback.* / health.* / breaker.* / engine.* / ...).  A
 //     literal ending in '.' that is concatenated with `+` (e.g.
 //     "tier.requests." + transport) becomes the prefix pattern
 //     "tier.requests.*".
@@ -41,11 +42,14 @@ namespace {
 using detlint::Token;
 using detlint::TokenKind;
 
-// The metric families owned by the resolver tier / cache / hedging /
-// fairness / observability subsystems, plus the client-side transport
-// counters — the contract this tool enforces.
-const char* kFamilies[] = {"tier.",     "cache.", "hedge.",
-                           "fairness.", "obs.",   "mem.",  "client."};
+// The metric families of the resolver tier, the engine, the four policy
+// clients (cache, fallback, health with its breakers, hedging), the
+// browser, observability and shard memory, plus the client-side transport
+// and per-layer byte counters — the contract this tool enforces.
+const char* kFamilies[] = {"tier.",     "cache.",    "hedge.",  "fallback.",
+                           "health.",   "breaker.",  "engine.", "browser.",
+                           "fairness.", "obs.",      "mem.",    "client.",
+                           "bytes."};
 
 bool in_family(const std::string& name) {
   for (const char* f : kFamilies)
@@ -271,9 +275,8 @@ int main(int argc, char** argv) {
     } else if (arg == "-h" || arg == "--help") {
       std::printf(
           "usage: contract_check [--root DIR]\n"
-          "Diffs tier./cache./hedge./fairness./obs./client. metric names and\n"
-          "span names\n"
-          "emitted by src/ against the contract in EXPERIMENTS.md.\n");
+          "Diffs the metric names of the contract's families and the span\n"
+          "names emitted by src/ against the contract in EXPERIMENTS.md.\n");
       return 0;
     } else {
       std::fprintf(stderr, "contract_check: unknown argument %s\n",
