@@ -113,6 +113,7 @@ void QuicConnection::handle_frame(const Frame& frame) {
       [this](const auto& f) {
         using T = std::decay_t<decltype(f)>;
         if constexpr (std::is_same_v<T, AckFrame>) {
+          bool newly_acked = false;
           for (const auto pn : f.acked) {
             const auto it = unacked_.find(pn);
             if (it == unacked_.end()) continue;
@@ -129,11 +130,17 @@ void QuicConnection::handle_frame(const Frame& frame) {
               srtt_us_ = 0.875 * srtt_us_ + 0.125 * rtt;
             }
             unacked_.erase(it);
+            newly_acked = true;
           }
-          if (unacked_.empty()) {
+          // RFC 9002 §6.2.1: acknowledged progress resets the backoff and
+          // restarts the timer (or stops it once nothing is in flight).
+          // Left armed from an old send, a busy connection's timer fires
+          // spuriously, and eight such probes close it as idle.
+          if (newly_acked) {
             loop_.cancel(pto_timer_);
             pto_timer_ = simnet::EventId{};
             pto_backoff_ = 0;
+            arm_pto();
           }
         } else if constexpr (std::is_same_v<T, CryptoFrame>) {
           handle_crypto(f);
@@ -377,10 +384,14 @@ simnet::TimeUs QuicConnection::current_pto() const noexcept {
 }
 
 void QuicConnection::arm_pto() {
-  if (pto_timer_.valid) return;
+  if (pto_timer_.valid || unacked_.empty()) return;
   const simnet::TimeUs timeout =
       std::min(current_pto() << pto_backoff_, config_.pto_max);
-  pto_timer_ = loop_.schedule_in(timeout, [this]() {
+  // The probe period runs from the oldest ack-eliciting packet in flight.
+  const simnet::TimeUs elapsed =
+      loop_.now() - unacked_.begin()->second.sent_at;
+  const simnet::TimeUs delay = timeout > elapsed ? timeout - elapsed : 0;
+  pto_timer_ = loop_.schedule_in(delay, [this]() {
     pto_timer_ = simnet::EventId{};
     on_pto();
   });

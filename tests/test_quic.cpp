@@ -290,6 +290,32 @@ TEST_F(DoqTest, SurvivesPacketLoss) {
   EXPECT_EQ(succeeded, 10);
 }
 
+TEST_F(DoqTest, LosslessSoakNeedsNoRetransmits) {
+  // 20,000 queries at 1 ms spacing over one connection on a lossless link:
+  // every packet is acknowledged within an RTT, so a correct probe timeout
+  // (RFC 9002 §6.2) never fires — no retransmit, no failure, no reconnect.
+  start_server();
+  core::DoqClient client_stub(client, {server.id(), 853});
+  constexpr int kQueries = 20000;
+  int answered = 0;
+  int failed = 0;
+  for (int i = 0; i < kQueries; ++i) {
+    loop.schedule_at(simnet::ms(i), [&, i]() {
+      client_stub.resolve(
+          dns::Name::parse("q" + std::to_string(i % 1000) + ".example.com"),
+          dns::RType::kA, [&](const core::ResolutionResult& r) {
+            ++(r.success ? answered : failed);
+          });
+    });
+  }
+  loop.run();
+  EXPECT_EQ(answered, kQueries);
+  EXPECT_EQ(failed, 0);
+  ASSERT_NE(client_stub.quic_counters(), nullptr);
+  EXPECT_EQ(client_stub.quic_counters()->retransmits, 0u);
+  EXPECT_EQ(doq_server->connection_count(), 1u);
+}
+
 TEST_F(DoqTest, DisconnectFailsOutstanding) {
   engine_config.delay_policy.every_n = 1;
   engine_config.delay_policy.delay = simnet::seconds(30);
