@@ -1,5 +1,6 @@
 // Microbenchmarks for the protocol codecs: DNS wire format, HPACK, Huffman,
-// HTTP/2 frames, base64url, dns-json, and the discrete-event core. These
+// HTTP/2 frames, base64url, dns-json, the TLS handshake and QUIC packet
+// codecs, and the discrete-event core. These
 // guard against performance regressions in the machinery every experiment
 // is built on.
 //
@@ -24,8 +25,10 @@
 #include "dns/message.hpp"
 #include "http2/frame.hpp"
 #include "http2/hpack.hpp"
+#include "quicsim/packet.hpp"
 #include "shard_runner.hpp"
 #include "simnet/event_loop.hpp"
+#include "tlssim/handshake.hpp"
 
 namespace {
 
@@ -131,6 +134,44 @@ std::vector<Case> cases() {
                    http2::FrameReader reader;
                    reader.feed(http2::encode_frame(frame));
                    keep(reader.next());
+                 }});
+
+  // A full TLS 1.3 server flight with the Cloudflare chain (2,312 B of
+  // messages, mostly zero padding), encoded into one buffer and decoded.
+  const auto chain = tlssim::CertificateChain::cloudflare();
+  out.push_back({"tlssim/handshake_flight", [chain]() {
+                   using tlssim::HsType;
+                   dns::ByteWriter flight;
+                   flight.reserve(
+                       tlssim::message_bytes(tlssim::kEncryptedExtensionsBody) +
+                       tlssim::message_bytes(chain.wire_bytes) +
+                       tlssim::message_bytes(tlssim::kCertificateVerifyBody) +
+                       tlssim::message_bytes(tlssim::kFinishedBody));
+                   tlssim::encode_plain(flight, HsType::kEncryptedExtensions,
+                                        tlssim::kEncryptedExtensionsBody);
+                   tlssim::encode_certificate(flight, chain);
+                   tlssim::encode_plain(flight, HsType::kCertificateVerify,
+                                        tlssim::kCertificateVerifyBody);
+                   tlssim::encode_plain(flight, HsType::kFinished,
+                                        tlssim::kFinishedBody);
+                   dns::ByteReader r(flight.data());
+                   while (!r.exhausted()) keep(tlssim::decode_handshake(r));
+                 }});
+
+  // A client Initial: a ClientHello CRYPTO frame padded to 1,200 B.
+  dns::ByteWriter hello;
+  tlssim::ClientHello ch;
+  ch.sni = "cloudflare-dns.com";
+  ch.alpn = {"doq"};
+  tlssim::encode_client_hello(hello, ch);
+  quicsim::Packet initial;
+  initial.long_header = true;
+  initial.connection_id = 0x1234;
+  initial.frames.emplace_back(quicsim::CryptoFrame{0, hello.take()});
+  initial.frames.emplace_back(quicsim::PaddingFrame{static_cast<std::uint16_t>(
+      quicsim::kMinInitialPayload - initial.udp_wire_size())});
+  out.push_back({"quicsim/packet_round_trip", [initial]() {
+                   keep(quicsim::Packet::decode(initial.encode()));
                  }});
 
   out.push_back({"event_loop/schedule_run", []() {

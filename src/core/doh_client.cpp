@@ -405,6 +405,7 @@ void DohClient::complete(std::uint64_t query_id, bool success,
       if (s.stack && !s.have_end) {
         s.end = s.stack->snapshot();
         s.have_end = true;
+        s.stack.reset();  // the race (or nobody) still holds the connection
       }
     });
   }
@@ -422,22 +423,49 @@ void DohClient::complete(std::uint64_t query_id, bool success,
   }
   if (!config_.persistent && state.stack) {
     // Tear the connection down; the remaining FIN/close-notify bytes are
-    // captured when the cost is finalized in result().
+    // part of the cost, which is frozen once the connection has closed.
     if (state.stack->h2) state.stack->h2->close();
     if (state.stack->h1) state.stack->h1->close();
+    release_when_closed(query_id);
   }
   // The cost is charged when result() finalizes it.
   ledger_.finish(states_[query_id], success, std::move(response), dns_bytes);
   if (in_flight()) lifecycle_.arm_stall();
 }
 
+void DohClient::release_when_closed(std::uint64_t query_id) {
+  const std::shared_ptr<Stack>& stack = states_[query_id].stack;
+  // Freeze the whole connection's cost and drop the stack one event after
+  // TCP reaches CLOSED: its counters are final by then, and the stack must
+  // not be destroyed inside its own callbacks.
+  auto release = [this, query_id, weak = std::weak_ptr<Stack>(stack)]() {
+    const std::shared_ptr<Stack> s = weak.lock();
+    if (!s) return;
+    QueryState& state = states_[query_id];
+    if (state.stack != s) return;
+    state.end = s->snapshot();
+    state.have_end = true;
+    state.stack.reset();
+  };
+  simnet::EventLoop& loop = host_.loop();
+  if (stack->tcp->state() == simnet::TcpState::kClosed) {
+    loop.schedule_in(0, std::move(release));
+    return;
+  }
+  stack->tcp->set_closed_hook(
+      [&loop, release = std::move(release)]() mutable {
+        loop.schedule_in(0, std::move(release));
+      });
+}
+
 const ResolutionResult& DohClient::result(std::uint64_t id) const {
   const QueryState& state = states_.at(id);
   ResolutionResult& result = ledger_.result(id);
-  if (state.done && state.stack) {
-    // Finalize the transport cost. Fresh stacks are read at call time so
-    // the teardown packets are included (run the loop to idle first);
-    // persistent stacks use the window frozen at completion.
+  if (state.done && (state.have_end || state.stack)) {
+    // Finalize the transport cost. A fresh stack is read live until its
+    // connection has closed (run the loop to idle first), then frozen with
+    // the teardown included; a persistent stack uses the window frozen at
+    // completion.
     const std::size_t dns_bytes = result.cost.dns_message_bytes;
     const CostReport end =
         state.have_end ? state.end : state.stack->snapshot();

@@ -146,6 +146,9 @@ class DohClient final : public ResolverClient {
   void issue(std::uint64_t query_id);
   void complete(std::uint64_t query_id, bool success, dns::Message response,
                 std::size_t dns_bytes);
+  /// Fresh stack of a completed query: freeze its cost and drop it once its
+  /// TCP connection has closed, so the client holds no finished stacks.
+  void release_when_closed(std::uint64_t query_id);
   /// Transport-level failure (close/reset/GOAWAY/protocol error): retry or
   /// fail every query that was in flight on `stack`. On a timeout teardown
   /// `suspect` is the query whose timeout condemned the connection.
@@ -169,9 +172,12 @@ class DohClient final : public ResolverClient {
   std::uint64_t failures_ = 0;
 
   struct QueryState : Query {
-    std::shared_ptr<Stack> stack;  ///< stack this query ran on
+    /// Stack this query runs on; dropped once `end` is frozen.
+    std::shared_ptr<Stack> stack;
     CostReport start;  ///< stack snapshot at issue time (zero if fresh)
-    CostReport end;                ///< snapshot at completion (persistent)
+    /// Persistent: snapshot one event after completion. Fresh: the whole
+    /// connection once it has closed.
+    CostReport end;
     /// Stack's TCP wire_bytes_received when this attempt was issued; if it
     /// has not advanced by the query timeout, the connection (not just the
     /// stream) is stalled.

@@ -1,5 +1,7 @@
 #include "dns/wire.hpp"
 
+#include <algorithm>
+
 namespace dohperf::dns {
 
 void ByteReader::require(std::size_t n) const {
@@ -70,32 +72,36 @@ void ByteReader::skip(std::size_t n) {
   offset_ += n;
 }
 
-void ByteWriter::u8(std::uint8_t v) { out_.push_back(v); }
-
-void ByteWriter::u16(std::uint16_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  out_.push_back(static_cast<std::uint8_t>(v & 0xff));
-}
-
-void ByteWriter::u32(std::uint32_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v >> 24));
-  out_.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-  out_.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-  out_.push_back(static_cast<std::uint8_t>(v & 0xff));
+void ByteWriter::grow(std::size_t n) {
+  out_.reserve(std::max({kFirstReserve, out_.size() + n, 2 * out_.capacity()}));
 }
 
 void ByteWriter::bytes(std::span<const std::uint8_t> data) {
+  room(data.size());
   out_.insert(out_.end(), data.begin(), data.end());
 }
 
 void ByteWriter::string(std::string_view s) {
+  room(s.size());
   out_.insert(out_.end(), s.begin(), s.end());
+}
+
+void ByteWriter::zeros(std::size_t n) {
+  room(n);
+  out_.resize(out_.size() + n);
 }
 
 void ByteWriter::patch_u16(std::size_t pos, std::uint16_t v) {
   if (pos + 2 > out_.size()) throw WireError("patch_u16 out of range");
   out_[pos] = static_cast<std::uint8_t>(v >> 8);
   out_[pos + 1] = static_cast<std::uint8_t>(v & 0xff);
+}
+
+void ByteWriter::patch_u24(std::size_t pos, std::uint32_t v) {
+  if (pos + 3 > out_.size()) throw WireError("patch_u24 out of range");
+  out_[pos] = static_cast<std::uint8_t>((v >> 16) & 0xff);
+  out_[pos + 1] = static_cast<std::uint8_t>((v >> 8) & 0xff);
+  out_[pos + 2] = static_cast<std::uint8_t>(v & 0xff);
 }
 
 Bytes to_bytes(std::string_view s) {

@@ -67,26 +67,56 @@ class ByteReader {
 };
 
 /// Append-only big-endian writer.
+///
+/// The first write reserves kFirstReserve octets, so a small writer (a TLS
+/// record header, an alert) allocates once instead of regrowing 1, 2, 4, 8;
+/// later growth doubles. Encoders that know their final size reserve() it.
 class ByteWriter {
  public:
+  /// The arena's smallest size class: a smaller buffer costs the same.
+  static constexpr std::size_t kFirstReserve = 32;
+
   std::size_t size() const noexcept { return out_.size(); }
 
   /// Reserve room for `n` octets in total.
   void reserve(std::size_t n) { out_.reserve(n); }
 
-  void u8(std::uint8_t v);
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
+  void u8(std::uint8_t v) {
+    room(1);
+    out_.push_back(v);
+  }
+  void u16(std::uint16_t v) {
+    room(2);
+    out_.push_back(static_cast<std::uint8_t>(v >> 8));
+    out_.push_back(static_cast<std::uint8_t>(v & 0xff));
+  }
+  void u32(std::uint32_t v) {
+    room(4);
+    out_.push_back(static_cast<std::uint8_t>(v >> 24));
+    out_.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
+    out_.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
+    out_.push_back(static_cast<std::uint8_t>(v & 0xff));
+  }
   void bytes(std::span<const std::uint8_t> data);
   void string(std::string_view s);
+  /// Append `n` zero octets in one step (padding, synthetic AEAD tags).
+  void zeros(std::size_t n);
 
   /// Overwrite a previously written 16-bit field (e.g. RDLENGTH backpatch).
   void patch_u16(std::size_t pos, std::uint16_t v);
+  /// Overwrite a previously written 24-bit field (TLS handshake length).
+  void patch_u24(std::size_t pos, std::uint32_t v);
 
   const Bytes& data() const noexcept { return out_; }
   Bytes take() noexcept { return std::move(out_); }
 
  private:
+  void room(std::size_t n) {
+    if (out_.capacity() - out_.size() < n) grow(n);
+  }
+  /// Out of line: reserve max(kFirstReserve, size + n, 2 * capacity).
+  void grow(std::size_t n);
+
   Bytes out_;
 };
 

@@ -7,6 +7,15 @@ namespace dohperf::quicsim {
 
 using tlssim::HsType;
 
+namespace {
+
+/// The most stream ids one frame may open beyond the highest seen of its
+/// type. Far above any real client's concurrency; it only stops a garbage
+/// stream id from opening billions of streams.
+constexpr std::uint64_t kMaxImplicitStreams = std::uint64_t{1} << 16;
+
+}  // namespace
+
 QuicConnection::QuicConnection(simnet::EventLoop& loop, DatagramSender sender,
                                std::uint64_t connection_id,
                                tlssim::ClientConfig tls,
@@ -46,18 +55,26 @@ void QuicConnection::start_client_handshake() {
   counters_.handshake_bytes += crypto.data.size();
 
   // RFC 9000 §8.1: the Initial must be padded to at least 1200 bytes.
-  std::vector<Frame> frames{std::move(crypto)};
-  Packet probe;
-  probe.long_header = true;
-  probe.frames = frames;
-  const std::size_t unpadded = probe.udp_wire_size();
+  std::vector<Frame> frames;
+  frames.reserve(2);
+  frames.emplace_back(std::move(crypto));
+  const std::size_t unpadded = Packet::udp_wire_size(
+      Packet::header_size(/*long_header=*/true) + encoded_size(frames[0]) +
+      kAeadTagBytes);
   if (unpadded < kMinInitialPayload) {
     PaddingFrame padding;
     padding.length = static_cast<std::uint16_t>(kMinInitialPayload - unpadded);
     counters_.handshake_bytes += padding.length;
-    frames.push_back(padding);
+    frames.emplace_back(padding);
   }
   send_packet(std::move(frames), /*long_header=*/true);
+}
+
+void QuicConnection::send_frame(Frame frame, bool long_header) {
+  std::vector<Frame> frames;
+  frames.reserve(1);
+  frames.push_back(std::move(frame));
+  send_packet(std::move(frames), long_header);
 }
 
 void QuicConnection::send_packet(std::vector<Frame> frames,
@@ -68,21 +85,22 @@ void QuicConnection::send_packet(std::vector<Frame> frames,
   packet.connection_id = connection_id_;
   packet.packet_number = next_packet_number_++;
   packet.frames = std::move(frames);
+  // Encoded once: the wire size is read off the datagram itself.
+  Bytes datagram = packet.encode();
 
   ++counters_.packets_sent;
-  counters_.wire_bytes_sent += packet.udp_wire_size();
+  counters_.wire_bytes_sent += Packet::udp_wire_size(datagram.size());
   for (const auto& f : packet.frames) {
     if (const auto* sf = std::get_if<StreamFrame>(&f)) {
       counters_.stream_bytes_sent += sf->data.size();
     }
   }
   if (packet.ack_eliciting()) {
-    unacked_.emplace(packet.packet_number,
-                     SentPacket{packet, loop_.now()});
+    const std::uint64_t pn = packet.packet_number;
+    unacked_.emplace(pn, SentPacket{std::move(packet), loop_.now()});
     arm_pto();
   }
-  // Strip the IP+UDP accounting part for the actual datagram payload.
-  sender_(packet.encode());
+  sender_(std::move(datagram));
 }
 
 void QuicConnection::handle_datagram(std::span<const std::uint8_t> payload) {
@@ -94,10 +112,10 @@ void QuicConnection::handle_datagram(std::span<const std::uint8_t> payload) {
     return;  // garbage datagram: dropped, like real QUIC
   }
   ++counters_.packets_received;
-  counters_.wire_bytes_received += packet.udp_wire_size();
+  counters_.wire_bytes_received += Packet::udp_wire_size(payload.size());
 
   bool needs_ack = false;
-  for (const auto& frame : packet.frames) {
+  for (auto& frame : packet.frames) {
     if (is_ack_eliciting(frame)) needs_ack = true;
     handle_frame(frame);
     if (closed_) return;
@@ -108,9 +126,9 @@ void QuicConnection::handle_datagram(std::span<const std::uint8_t> payload) {
   }
 }
 
-void QuicConnection::handle_frame(const Frame& frame) {
+void QuicConnection::handle_frame(Frame& frame) {
   std::visit(
-      [this](const auto& f) {
+      [this](auto& f) {
         using T = std::decay_t<decltype(f)>;
         if constexpr (std::is_same_v<T, AckFrame>) {
           bool newly_acked = false;
@@ -154,7 +172,7 @@ void QuicConnection::handle_frame(const Frame& frame) {
           // Client: server confirmed the handshake; nothing further needed.
         } else if constexpr (std::is_same_v<T, PathChallengeFrame>) {
           // Echo on the (possibly new) path; never blocked on anything.
-          send_packet({PathResponseFrame{f.data}}, /*long_header=*/false);
+          send_frame(PathResponseFrame{f.data}, /*long_header=*/false);
         } else if constexpr (std::is_same_v<T, PathResponseFrame>) {
           if (outstanding_path_token_ != 0 &&
               f.data == outstanding_path_token_) {
@@ -205,22 +223,20 @@ void QuicConnection::handle_handshake_message(
                                              : msg.client_hello->alpn.front();
       // Server flight: SH + EE + Certificate + CV + Finished, split across
       // packets so each stays under the MTU.
+      const tlssim::CertificateChain& chain = server_tls_->chain;
       dns::ByteWriter flight;
+      flight.reserve(tlssim::message_bytes(tlssim::kServerHello13Body) +
+                     tlssim::message_bytes(tlssim::kEncryptedExtensionsBody) +
+                     tlssim::message_bytes(chain.wire_bytes) +
+                     tlssim::message_bytes(tlssim::kCertificateVerifyBody) +
+                     tlssim::message_bytes(tlssim::kFinishedBody));
       tlssim::ServerHello sh;
       sh.version = tlssim::TlsVersion::kTls13;
       sh.alpn = alpn_;
       tlssim::encode_server_hello(flight, sh);
       tlssim::encode_plain(flight, HsType::kEncryptedExtensions,
                            tlssim::kEncryptedExtensionsBody);
-      tlssim::CertificateMsg cert;
-      cert.subject = server_tls_->chain.subject;
-      cert.certificate_count =
-          static_cast<std::uint8_t>(server_tls_->chain.certificate_count);
-      cert.ct_logged = server_tls_->chain.ct_logged;
-      cert.ocsp_must_staple = server_tls_->chain.ocsp_must_staple;
-      cert.chain_bytes =
-          static_cast<std::uint32_t>(server_tls_->chain.wire_bytes);
-      tlssim::encode_certificate(flight, cert);
+      tlssim::encode_certificate(flight, chain);
       tlssim::encode_plain(flight, HsType::kCertificateVerify,
                            tlssim::kCertificateVerifyBody);
       tlssim::encode_plain(flight, HsType::kFinished, tlssim::kFinishedBody);
@@ -236,7 +252,7 @@ void QuicConnection::handle_handshake_message(
         crypto.data.assign(
             bytes.begin() + static_cast<std::ptrdiff_t>(offset),
             bytes.begin() + static_cast<std::ptrdiff_t>(offset + chunk));
-        send_packet({std::move(crypto)}, /*long_header=*/true);
+        send_frame(std::move(crypto), /*long_header=*/true);
         offset += chunk;
       }
       crypto_tx_offset_ += bytes.size();
@@ -261,13 +277,13 @@ void QuicConnection::handle_handshake_message(
         crypto.data = fin.take();
         crypto_tx_offset_ += crypto.data.size();
         counters_.handshake_bytes += crypto.data.size();
-        send_packet({std::move(crypto)}, /*long_header=*/true);
+        send_frame(std::move(crypto), /*long_header=*/true);
         become_established();
       } else {
         become_established();
         if (!handshake_done_sent_) {
           handshake_done_sent_ = true;
-          send_packet({HandshakeDoneFrame{}}, /*long_header=*/false);
+          send_frame(HandshakeDoneFrame{}, /*long_header=*/false);
         }
       }
       return;
@@ -297,7 +313,8 @@ void QuicConnection::send_stream(std::uint64_t stream_id, Bytes data,
     pending_writes_.push_back({stream_id, std::move(data), fin});
     return;
   }
-  auto& offset = tx_offsets_[stream_id];
+  const auto tx = tx_offsets_.try_emplace(stream_id, 0).first;
+  std::uint64_t& offset = tx->second;
   std::size_t sent = 0;
   do {
     const std::size_t chunk =
@@ -310,8 +327,9 @@ void QuicConnection::send_stream(std::uint64_t stream_id, Bytes data,
     sent += chunk;
     offset += chunk;
     frame.fin = fin && sent >= data.size();
-    send_packet({std::move(frame)}, /*long_header=*/false);
+    send_frame(std::move(frame), /*long_header=*/false);
   } while (sent < data.size());
+  if (fin) tx_offsets_.erase(tx);  // the send side is finished
 }
 
 void QuicConnection::flush_pending_streams() {
@@ -322,36 +340,52 @@ void QuicConnection::flush_pending_streams() {
   }
 }
 
-void QuicConnection::handle_stream(const StreamFrame& frame) {
-  counters_.stream_bytes_received += frame.data.size();
-  RxStream& stream = rx_streams_[frame.stream_id];
-  if (!frame.data.empty()) {
-    stream.segments.emplace(frame.offset, frame.data);
+QuicConnection::RxStreams::iterator QuicConnection::rx_stream(
+    std::uint64_t stream_id) {
+  std::uint64_t& next = rx_next_[stream_id & 3];
+  // Below the watermark: open, or finished and pruned (end()).
+  if (stream_id < next) return rx_streams_.find(stream_id);
+  // A peer that skips this many ids is broken; drop the frame.
+  if ((stream_id - next) / 4 >= kMaxImplicitStreams) return rx_streams_.end();
+  // RFC 9000 §2.1: using a stream id opens every lower one of its type.
+  auto it = rx_streams_.end();
+  for (; next <= stream_id; next += 4) {
+    it = rx_streams_.emplace_hint(rx_streams_.end(), next, RxStream{});
   }
+  return it;
+}
+
+void QuicConnection::handle_stream(StreamFrame& frame) {
+  counters_.stream_bytes_received += frame.data.size();
+  const auto it = rx_stream(frame.stream_id);
+  if (it == rx_streams_.end()) return;  // e.g. a late duplicate
+  RxStream& stream = it->second;
   if (frame.fin) {
     stream.fin_offset = frame.offset + frame.data.size();
   }
-  deliver_stream(frame.stream_id);
+  if (!frame.data.empty()) {
+    stream.segments.emplace(frame.offset, std::move(frame.data));
+  }
+  deliver_stream(it);
 }
 
-void QuicConnection::deliver_stream(std::uint64_t stream_id) {
-  RxStream& stream = rx_streams_[stream_id];
+void QuicConnection::deliver_stream(RxStreams::iterator it) {
+  const std::uint64_t stream_id = it->first;
+  RxStream& stream = it->second;
   for (;;) {
-    const auto it = stream.segments.find(stream.delivered);
-    const bool fin_now = stream.fin_offset == stream.delivered &&
-                         !stream.fin_delivered &&
-                         it == stream.segments.end();
-    if (fin_now) {
-      stream.fin_delivered = true;
+    const auto seg = stream.segments.find(stream.delivered);
+    if (seg == stream.segments.end()) {
+      if (stream.fin_offset != stream.delivered) return;
+      // The receive side is finished: prune it before the callback.
+      rx_streams_.erase(it);
       if (on_stream_data_) on_stream_data_(stream_id, {}, true);
       return;
     }
-    if (it == stream.segments.end()) return;
-    Bytes data = std::move(it->second);
-    stream.segments.erase(it);
+    Bytes data = std::move(seg->second);
+    stream.segments.erase(seg);
     stream.delivered += data.size();
     const bool fin = stream.fin_offset == stream.delivered;
-    if (fin) stream.fin_delivered = true;
+    if (fin) rx_streams_.erase(it);
     if (on_stream_data_) on_stream_data_(stream_id, data, fin);
     if (fin) return;
   }
@@ -371,7 +405,7 @@ void QuicConnection::flush_acks() {
   AckFrame ack;
   ack.acked = std::move(ack_pending_);
   ack_pending_.clear();
-  send_packet({std::move(ack)}, /*long_header=*/!established_);
+  send_frame(std::move(ack), /*long_header=*/!established_);
 }
 
 simnet::TimeUs QuicConnection::current_pto() const noexcept {
@@ -426,13 +460,13 @@ void QuicConnection::on_pto() {
 void QuicConnection::probe_path() {
   if (closed_) return;
   outstanding_path_token_ = ++next_path_token_;
-  send_packet({PathChallengeFrame{outstanding_path_token_}},
-              /*long_header=*/false);
+  send_frame(PathChallengeFrame{outstanding_path_token_},
+             /*long_header=*/false);
 }
 
 void QuicConnection::close(std::uint64_t error_code) {
   if (closed_) return;
-  send_packet({ConnectionCloseFrame{error_code}}, /*long_header=*/false);
+  send_frame(ConnectionCloseFrame{error_code}, /*long_header=*/false);
   closed_ = true;
   loop_.cancel(pto_timer_);
   pto_timer_ = simnet::EventId{};

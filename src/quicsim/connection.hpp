@@ -8,6 +8,7 @@
 // connections, demultiplexed by connection id in QuicServer).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -93,23 +94,32 @@ class QuicConnection {
   std::uint64_t connection_id() const noexcept { return connection_id_; }
   const QuicCounters& counters() const noexcept { return counters_; }
   const std::string& alpn() const noexcept { return alpn_; }
+  /// Streams still holding receive or send state (finished ones are
+  /// pruned, so a long-lived connection stays bounded).
+  std::size_t stream_states() const noexcept {
+    return rx_streams_.size() + tx_offsets_.size();
+  }
 
  private:
   struct RxStream {
     std::map<std::uint64_t, Bytes> segments;  ///< offset -> data
     std::uint64_t delivered = 0;
     std::uint64_t fin_offset = std::uint64_t(-1);
-    bool fin_delivered = false;
   };
+  using RxStreams = std::map<std::uint64_t, RxStream>;
 
   void start_client_handshake();
   void send_packet(std::vector<Frame> frames, bool long_header);
-  void handle_frame(const Frame& frame);
+  void send_frame(Frame frame, bool long_header);
+  void handle_frame(Frame& frame);
   void handle_crypto(const CryptoFrame& frame);
   void process_crypto_buffer();
   void handle_handshake_message(const tlssim::HandshakeMessage& msg);
-  void handle_stream(const StreamFrame& frame);
-  void deliver_stream(std::uint64_t stream_id);
+  /// The receive side of `stream_id`, opened on first use; end() once it
+  /// has finished (or for an id no sane peer would use).
+  RxStreams::iterator rx_stream(std::uint64_t stream_id);
+  void handle_stream(StreamFrame& frame);
+  void deliver_stream(RxStreams::iterator it);
   void schedule_ack();
   void flush_acks();
   void arm_pto();
@@ -148,8 +158,13 @@ class QuicConnection {
   std::uint64_t crypto_rx_consumed_ = 0;
   std::uint64_t crypto_tx_offset_ = 0;
 
-  // Streams.
-  std::map<std::uint64_t, RxStream> rx_streams_;
+  // Streams. Only unfinished ones hold state: a receive side is pruned once
+  // its FIN is delivered, a send side once its FIN is sent. rx_next_ is
+  // the guard that keeps a pruned stream from reopening: per stream type
+  // (id % 4), every id below it has been opened, so one missing from
+  // rx_streams_ has finished and a late duplicate frame for it is dropped.
+  RxStreams rx_streams_;
+  std::array<std::uint64_t, 4> rx_next_{0, 1, 2, 3};
   struct PendingStreamWrite {
     std::uint64_t stream_id;
     Bytes data;

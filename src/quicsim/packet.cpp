@@ -27,7 +27,7 @@ void encode_frame(ByteWriter& w, const Frame& frame) {
         if constexpr (std::is_same_v<T, PaddingFrame>) {
           w.u8(static_cast<std::uint8_t>(FrameType::kPadding));
           w.u16(f.length);
-          for (std::uint16_t i = 0; i < f.length; ++i) w.u8(0);
+          w.zeros(f.length);
         } else if constexpr (std::is_same_v<T, PingFrame>) {
           w.u8(static_cast<std::uint8_t>(FrameType::kPing));
         } else if constexpr (std::is_same_v<T, AckFrame>) {
@@ -123,14 +123,44 @@ Frame decode_frame(ByteReader& r) {
   throw WireError("unknown QUIC frame type");
 }
 
-std::size_t Packet::frames_size() const {
-  ByteWriter w;
-  for (const auto& f : frames) encode_frame(w, f);
-  return w.size();
+std::size_t encoded_size(const Frame& frame) noexcept {
+  return std::visit(
+      [](const auto& f) -> std::size_t {
+        using T = std::decay_t<decltype(f)>;
+        if constexpr (std::is_same_v<T, PaddingFrame>) {
+          return 3 + f.length;
+        } else if constexpr (std::is_same_v<T, AckFrame>) {
+          return 3 + 4 * f.acked.size();
+        } else if constexpr (std::is_same_v<T, CryptoFrame>) {
+          return 7 + f.data.size();
+        } else if constexpr (std::is_same_v<T, StreamFrame>) {
+          return 12 + f.data.size();
+        } else if constexpr (std::is_same_v<T, ConnectionCloseFrame>) {
+          return 5;
+        } else if constexpr (std::is_same_v<T, PathChallengeFrame> ||
+                             std::is_same_v<T, PathResponseFrame>) {
+          return 9;
+        } else {
+          return 1;  // PING, HANDSHAKE_DONE: the type byte alone
+        }
+      },
+      frame);
+}
+
+std::size_t Packet::frames_size() const noexcept {
+  std::size_t total = 0;
+  for (const auto& f : frames) total += encoded_size(f);
+  return total;
+}
+
+std::size_t Packet::header_size(bool long_header) noexcept {
+  return (long_header ? kLongHeaderBytes : kShortHeaderBytes) + 2;
 }
 
 Bytes Packet::encode() const {
+  const std::size_t frames_len = frames_size();
   ByteWriter w;
+  w.reserve(header_size(long_header) + frames_len + kAeadTagBytes);
   // Header: flags byte encodes form; fixed-size connection id + packet
   // number fields (we count realistic sizes via explicit padding below).
   w.u8(long_header ? 0xc0 : 0x40);
@@ -144,16 +174,12 @@ Bytes Packet::encode() const {
   if (w.size() > header_target) {
     throw WireError("QUIC header fields exceed modelled header size");
   }
-  while (w.size() < header_target) w.u8(0);
-
-  w.u16(0);  // frame-bytes length, backpatched
-  const std::size_t frames_start = w.size();
+  w.zeros(header_target - w.size());
+  w.u16(static_cast<std::uint16_t>(frames_len));
   for (const auto& f : frames) encode_frame(w, f);
-  const std::size_t frames_len = w.size() - frames_start;
-  w.patch_u16(header_target, static_cast<std::uint16_t>(frames_len));
 
   // Synthetic AEAD tag.
-  for (std::size_t i = 0; i < kAeadTagBytes; ++i) w.u8(0);
+  w.zeros(kAeadTagBytes);
   return w.take();
 }
 
@@ -180,11 +206,13 @@ Packet Packet::decode(std::span<const std::uint8_t> payload) {
   return p;
 }
 
-std::size_t Packet::udp_wire_size() const {
-  const std::size_t header =
-      long_header ? kLongHeaderBytes : kShortHeaderBytes;
-  return simnet::kIpHeaderBytes + simnet::kUdpHeaderBytes + header + 2 +
-         frames_size() + kAeadTagBytes;
+std::size_t Packet::udp_wire_size(std::size_t payload_bytes) noexcept {
+  return simnet::kIpHeaderBytes + simnet::kUdpHeaderBytes + payload_bytes;
+}
+
+std::size_t Packet::udp_wire_size() const noexcept {
+  return udp_wire_size(header_size(long_header) + frames_size() +
+                       kAeadTagBytes);
 }
 
 }  // namespace dohperf::quicsim

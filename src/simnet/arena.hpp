@@ -48,9 +48,10 @@ class ShardMemory;
 namespace detail {
 // POD thread-locals (zero-initialised, no dynamic init) so the replaced
 // operator new in arena_hooks.cpp is safe before main() and during static
-// destruction.
-extern thread_local ShardMemory* tls_current_arena;
-extern thread_local std::uint64_t tls_scope_global_allocs;
+// destruction. `constinit` on the declaration tells every including TU
+// that no TLS init wrapper exists, so accesses go straight to the slot.
+extern constinit thread_local ShardMemory* tls_current_arena;
+extern constinit thread_local std::uint64_t tls_scope_global_allocs;
 
 // Global-heap allocation with a routing header (owner = nullptr), used by
 // the hooks whenever no arena scope is active and for huge blocks.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 #include "simnet/host.hpp"
 
@@ -603,6 +604,7 @@ void TcpConnection::enter_closed() {
   out_of_order_.clear();
   host_.tcp_unregister(
       Host::TcpKey{local_port_, remote_.node, remote_.port});
+  if (closed_hook_) std::exchange(closed_hook_, nullptr)();
 }
 
 }  // namespace dohperf::simnet

@@ -101,6 +101,15 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
     callbacks_ = std::move(callbacks);
   }
 
+  /// Fires once, when the connection reaches CLOSED by any path (orderly
+  /// close, reset, abort, retransmission give-up); from then on its
+  /// counters are final. Unlike TcpCallbacks, which the ByteStream adapter
+  /// owns, this stays with whoever set it. It runs inside the connection's
+  /// own processing, so it should only note the fact or schedule work.
+  void set_closed_hook(std::function<void()> hook) {
+    closed_hook_ = std::move(hook);
+  }
+
   /// Queue stream data for transmission. Valid from SYN_SENT onwards
   /// (data is held until the handshake completes). The slice is referenced,
   /// not copied: segmentation sends subslices of the caller's buffer.
@@ -162,6 +171,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   Address remote_;
   TcpConfig config_;
   TcpCallbacks callbacks_;
+  std::function<void()> closed_hook_;
   /// Server side only: invoked once the handshake completes so the listener
   /// can hand the connection to the application.
   std::function<void(std::shared_ptr<TcpConnection>)> accept_handler_;

@@ -91,6 +91,7 @@ void TlsConnection::send_record_chain(ContentType type,
   if (record_len > kMaxFragment + 256) throw WireError("record too large");
 
   ByteWriter header;
+  header.reserve(kRecordHeaderBytes);
   header.u8(static_cast<std::uint8_t>(type));
   header.u16(0x0303);  // legacy record version
   header.u16(static_cast<std::uint16_t>(record_len));
@@ -115,6 +116,12 @@ void TlsConnection::send_record_chain(ContentType type,
   }
   if (tag > 0) record.push_back(zero_tag_bytes().subslice(0, tag));
   transport_->send_chain(record);
+}
+
+void TlsConnection::send_plain(HsType type, std::size_t body_size) {
+  ByteWriter w;
+  encode_plain(w, type, body_size);
+  send_record(ContentType::kHandshake, w.take());
 }
 
 void TlsConnection::send_alert(AlertDescription desc, bool fatal) {
@@ -298,22 +305,20 @@ void TlsConnection::handle_client_hello(const ClientHello& ch) {
     send_record(ContentType::kHandshake, w.take());
   }
 
+  const CertificateChain& chain = server_config_->chain;
   if (version_ == TlsVersion::kTls13) {
     send_change_cipher_spec();
     send_encrypted_ = true;
     ByteWriter flight;
+    flight.reserve(message_bytes(kEncryptedExtensionsBody) +
+                   (resumed_ ? 0
+                             : message_bytes(chain.wire_bytes) +
+                                   message_bytes(kCertificateVerifyBody)) +
+                   message_bytes(kFinishedBody));
     encode_plain(flight, HsType::kEncryptedExtensions,
                  kEncryptedExtensionsBody);
     if (!resumed_) {
-      CertificateMsg cert;
-      cert.subject = server_config_->chain.subject;
-      cert.certificate_count =
-          static_cast<std::uint8_t>(server_config_->chain.certificate_count);
-      cert.ct_logged = server_config_->chain.ct_logged;
-      cert.ocsp_must_staple = server_config_->chain.ocsp_must_staple;
-      cert.chain_bytes =
-          static_cast<std::uint32_t>(server_config_->chain.wire_bytes);
-      encode_certificate(flight, cert);
+      encode_certificate(flight, chain);
       encode_plain(flight, HsType::kCertificateVerify, kCertificateVerifyBody);
     }
     encode_plain(flight, HsType::kFinished, kFinishedBody);
@@ -325,21 +330,14 @@ void TlsConnection::handle_client_hello(const ClientHello& ch) {
     if (resumed_) {
       send_change_cipher_spec();
       send_encrypted_ = true;
-      ByteWriter w;
-      encode_plain(w, HsType::kFinished, kFinishedBody);
-      send_record(ContentType::kHandshake, w.take());
+      send_plain(HsType::kFinished, kFinishedBody);
       sent_finished_ = true;
     } else {
       ByteWriter flight;
-      CertificateMsg cert;
-      cert.subject = server_config_->chain.subject;
-      cert.certificate_count =
-          static_cast<std::uint8_t>(server_config_->chain.certificate_count);
-      cert.ct_logged = server_config_->chain.ct_logged;
-      cert.ocsp_must_staple = server_config_->chain.ocsp_must_staple;
-      cert.chain_bytes =
-          static_cast<std::uint32_t>(server_config_->chain.wire_bytes);
-      encode_certificate(flight, cert);
+      flight.reserve(message_bytes(chain.wire_bytes) +
+                     message_bytes(kServerKeyExchangeBody) +
+                     message_bytes(kServerHelloDoneBody));
+      encode_certificate(flight, chain);
       encode_plain(flight, HsType::kServerKeyExchange, kServerKeyExchangeBody);
       encode_plain(flight, HsType::kServerHelloDone, kServerHelloDoneBody);
       send_record(ContentType::kHandshake, flight.take());
@@ -388,14 +386,10 @@ void TlsConnection::handle_handshake_message(const HandshakeMessage& msg) {
       // TLS 1.2 full handshake: client sends its second flight.
       assert(role_ == TlsRole::kClient);
       received_server_hello_done_ = true;
-      ByteWriter cke;
-      encode_plain(cke, HsType::kClientKeyExchange, kClientKeyExchangeBody);
-      send_record(ContentType::kHandshake, cke.take());
+      send_plain(HsType::kClientKeyExchange, kClientKeyExchangeBody);
       send_change_cipher_spec();
       send_encrypted_ = true;
-      ByteWriter fin;
-      encode_plain(fin, HsType::kFinished, kFinishedBody);
-      send_record(ContentType::kHandshake, fin.take());
+      send_plain(HsType::kFinished, kFinishedBody);
       sent_finished_ = true;
       return;
     }
@@ -410,18 +404,14 @@ void TlsConnection::handle_handshake_message(const HandshakeMessage& msg) {
           // Respond with CCS + our Finished, then we are up.
           send_change_cipher_spec();
           send_encrypted_ = true;
-          ByteWriter fin;
-          encode_plain(fin, HsType::kFinished, kFinishedBody);
-          send_record(ContentType::kHandshake, fin.take());
+          send_plain(HsType::kFinished, kFinishedBody);
           sent_finished_ = true;
           finish_handshake();
         } else if (resumed_ && !sent_finished_) {
           // TLS 1.2 resumption: server finished first; reply in kind.
           send_change_cipher_spec();
           send_encrypted_ = true;
-          ByteWriter fin;
-          encode_plain(fin, HsType::kFinished, kFinishedBody);
-          send_record(ContentType::kHandshake, fin.take());
+          send_plain(HsType::kFinished, kFinishedBody);
           sent_finished_ = true;
           finish_handshake();
         } else {
@@ -434,9 +424,7 @@ void TlsConnection::handle_handshake_message(const HandshakeMessage& msg) {
           // Full TLS 1.2: reply with our CCS + Finished.
           send_change_cipher_spec();
           send_encrypted_ = true;
-          ByteWriter fin;
-          encode_plain(fin, HsType::kFinished, kFinishedBody);
-          send_record(ContentType::kHandshake, fin.take());
+          send_plain(HsType::kFinished, kFinishedBody);
           sent_finished_ = true;
         }
         finish_handshake();

@@ -118,6 +118,8 @@ class TlsConnection final : public ByteStream {
   /// copied — the record goes to the transport as {header, body..., tag}.
   void send_record_chain(ContentType type, std::span<const BufferSlice> body,
                          std::size_t body_len);
+  /// One field-free handshake message in its own record.
+  void send_plain(HsType type, std::size_t body_size);
   void send_alert(AlertDescription desc, bool fatal);
   void send_change_cipher_spec();
   void finish_handshake();

@@ -1,21 +1,32 @@
 #include "tlssim/handshake.hpp"
 
+#include <algorithm>
+
 namespace dohperf::tlssim {
 
 namespace {
 
-/// Write the 4-byte handshake header (type + 24-bit length).
-void write_header(ByteWriter& w, HsType type, std::size_t body_len) {
-  if (body_len > 0xffffff) throw WireError("handshake message too large");
+/// Start a message: the type and a 24-bit length that finish_message()
+/// backpatches. Reserves the whole message assuming the fields fit in
+/// `target`, so the body is written straight into `w`. Returns the body's
+/// offset.
+std::size_t begin_message(ByteWriter& w, HsType type, std::size_t target) {
+  w.reserve(w.size() + message_bytes(target));
   w.u8(static_cast<std::uint8_t>(type));
-  w.u8(static_cast<std::uint8_t>((body_len >> 16) & 0xff));
-  w.u16(static_cast<std::uint16_t>(body_len & 0xffff));
+  w.u8(0);
+  w.u16(0);
+  return w.size();
 }
 
-/// Pad `w` with zeros until the body that started at `body_start` reaches
-/// `target` bytes.
-void pad_body(ByteWriter& w, std::size_t body_start, std::size_t target) {
-  while (w.size() - body_start < target) w.u8(0);
+/// Pad the body that started at `body_start` with zeros up to `target`
+/// bytes and backpatch its length.
+void finish_message(ByteWriter& w, std::size_t body_start,
+                    std::size_t target) {
+  const std::size_t written = w.size() - body_start;
+  const std::size_t body_len = std::max(written, target);
+  if (body_len > 0xffffff) throw WireError("handshake message too large");
+  w.zeros(body_len - written);
+  w.patch_u24(body_start - 3, static_cast<std::uint32_t>(body_len));
 }
 
 void write_lv_string(ByteWriter& w, const std::string& s) {
@@ -32,73 +43,63 @@ std::string read_lv_string(ByteReader& r) {
 }  // namespace
 
 void encode_client_hello(ByteWriter& w, const ClientHello& ch) {
-  ByteWriter body;
-  body.u16(static_cast<std::uint16_t>(ch.min_version));
-  body.u16(static_cast<std::uint16_t>(ch.max_version));
-  write_lv_string(body, ch.sni);
-  body.u8(static_cast<std::uint8_t>(ch.alpn.size()));
-  for (const auto& proto : ch.alpn) write_lv_string(body, proto);
-  body.u16(static_cast<std::uint16_t>(ch.session_ticket.size()));
-  body.bytes(ch.session_ticket);
-
-  const std::size_t body_len = std::max(body.size(), kClientHelloBody);
-  write_header(w, HsType::kClientHello, body_len);
-  const std::size_t start = w.size();
-  w.bytes(body.data());
-  pad_body(w, start, body_len);
+  const std::size_t body =
+      begin_message(w, HsType::kClientHello, kClientHelloBody);
+  w.u16(static_cast<std::uint16_t>(ch.min_version));
+  w.u16(static_cast<std::uint16_t>(ch.max_version));
+  write_lv_string(w, ch.sni);
+  w.u8(static_cast<std::uint8_t>(ch.alpn.size()));
+  for (const auto& proto : ch.alpn) write_lv_string(w, proto);
+  w.u16(static_cast<std::uint16_t>(ch.session_ticket.size()));
+  w.bytes(ch.session_ticket);
+  finish_message(w, body, kClientHelloBody);
 }
 
 void encode_server_hello(ByteWriter& w, const ServerHello& sh) {
-  ByteWriter body;
-  body.u16(static_cast<std::uint16_t>(sh.version));
-  write_lv_string(body, sh.alpn);
-  body.u8(sh.resumed ? 1 : 0);
-
   const std::size_t target = sh.version == TlsVersion::kTls13
                                  ? kServerHello13Body
                                  : kServerHello12Body;
-  const std::size_t body_len = std::max(body.size(), target);
-  write_header(w, HsType::kServerHello, body_len);
-  const std::size_t start = w.size();
-  w.bytes(body.data());
-  pad_body(w, start, body_len);
+  const std::size_t body = begin_message(w, HsType::kServerHello, target);
+  w.u16(static_cast<std::uint16_t>(sh.version));
+  write_lv_string(w, sh.alpn);
+  w.u8(sh.resumed ? 1 : 0);
+  finish_message(w, body, target);
 }
 
 void encode_certificate(ByteWriter& w, const CertificateMsg& cert) {
-  ByteWriter body;
-  write_lv_string(body, cert.subject);
-  body.u8(cert.certificate_count);
-  body.u8(cert.ct_logged ? 1 : 0);
-  body.u8(cert.ocsp_must_staple ? 1 : 0);
-  body.u32(cert.chain_bytes);
-
   // The Certificate message's size is dominated by the chain itself; pad
   // the body to exactly the configured chain size (plus a small framing
   // allowance already included in chain_bytes).
-  const std::size_t body_len =
-      std::max<std::size_t>(body.size(), cert.chain_bytes);
-  write_header(w, HsType::kCertificate, body_len);
-  const std::size_t start = w.size();
-  w.bytes(body.data());
-  pad_body(w, start, body_len);
+  const std::size_t body =
+      begin_message(w, HsType::kCertificate, cert.chain_bytes);
+  write_lv_string(w, cert.subject);
+  w.u8(cert.certificate_count);
+  w.u8(cert.ct_logged ? 1 : 0);
+  w.u8(cert.ocsp_must_staple ? 1 : 0);
+  w.u32(cert.chain_bytes);
+  finish_message(w, body, cert.chain_bytes);
+}
+
+void encode_certificate(ByteWriter& w, const CertificateChain& chain) {
+  CertificateMsg cert;
+  cert.subject = chain.subject;
+  cert.certificate_count = static_cast<std::uint8_t>(chain.certificate_count);
+  cert.ct_logged = chain.ct_logged;
+  cert.ocsp_must_staple = chain.ocsp_must_staple;
+  cert.chain_bytes = static_cast<std::uint32_t>(chain.wire_bytes);
+  encode_certificate(w, cert);
 }
 
 void encode_new_session_ticket(ByteWriter& w, const NewSessionTicketMsg& t) {
-  ByteWriter body;
-  body.u16(static_cast<std::uint16_t>(t.ticket.size()));
-  body.bytes(t.ticket);
-
-  const std::size_t body_len = std::max(body.size(), kNewSessionTicketBody);
-  write_header(w, HsType::kNewSessionTicket, body_len);
-  const std::size_t start = w.size();
-  w.bytes(body.data());
-  pad_body(w, start, body_len);
+  const std::size_t body =
+      begin_message(w, HsType::kNewSessionTicket, kNewSessionTicketBody);
+  w.u16(static_cast<std::uint16_t>(t.ticket.size()));
+  w.bytes(t.ticket);
+  finish_message(w, body, kNewSessionTicketBody);
 }
 
 void encode_plain(ByteWriter& w, HsType type, std::size_t body_size) {
-  write_header(w, type, body_size);
-  const std::size_t start = w.size();
-  pad_body(w, start, body_size);
+  finish_message(w, begin_message(w, type, body_size), body_size);
 }
 
 HandshakeMessage decode_handshake(ByteReader& r) {

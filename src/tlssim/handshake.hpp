@@ -83,10 +83,16 @@ struct HandshakeMessage {
   std::optional<NewSessionTicketMsg> ticket;
 };
 
-// Encoders append one complete message (4-byte header + padded body).
+/// Wire size of a message with a `body`-byte body (4-byte header + body).
+constexpr std::size_t message_bytes(std::size_t body) { return 4 + body; }
+
+// Encoders append one complete message (4-byte header + padded body),
+// writing the body in place; the padding is one bulk zero-fill.
 void encode_client_hello(ByteWriter& w, const ClientHello& ch);
 void encode_server_hello(ByteWriter& w, const ServerHello& sh);
 void encode_certificate(ByteWriter& w, const CertificateMsg& cert);
+/// The Certificate message that presents `chain`.
+void encode_certificate(ByteWriter& w, const CertificateChain& chain);
 void encode_new_session_ticket(ByteWriter& w, const NewSessionTicketMsg& t);
 /// Field-free messages (Finished, EncryptedExtensions, SKE, SHD, CKE, CV).
 void encode_plain(ByteWriter& w, HsType type, std::size_t body_size);

@@ -9,7 +9,8 @@
 //   - zero global-heap allocations in shard steady state (the tentpole's
 //     whole point),
 //   - shard results escaping their arena's scope and lifetime,
-//   - run_sharded producing identical results at any --jobs value.
+//   - run_sharded producing identical results at any --jobs value,
+//   - a fresh-connection DoH client releasing each connection's stack.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,8 +19,13 @@
 #include <vector>
 
 #include "bench/shard_runner.hpp"
+#include "core/doh_client.hpp"
+#include "resolver/doh_server.hpp"
+#include "resolver/engine.hpp"
 #include "simnet/arena.hpp"
 #include "simnet/event_loop.hpp"
+#include "simnet/host.hpp"
+#include "simnet/network.hpp"
 
 namespace dohperf {
 namespace {
@@ -178,6 +184,62 @@ TEST(ArenaHooks, RunShardedIsByteIdenticalAcrossJobs) {
     EXPECT_GT(mem->arena_allocs, 0u);
     EXPECT_EQ(mem->global_allocs, mem->arena_chunks);
     EXPECT_EQ(mem->huge_allocs, 0u);
+  }
+}
+
+/// Arena blocks left live per resolution over resolutions 100..200 of one
+/// DoH client (same name each time, loop idle after each): what the client
+/// and the simulation keep per finished query.
+double doh_live_blocks_per_resolution(core::HttpVersion version,
+                                      bool persistent) {
+  constexpr int kQueries = 200;
+  ShardMemory* arena = ShardMemory::create();
+  std::uint64_t live_mid = 0;
+  std::uint64_t live_end = 0;
+  {
+    MemoryScope scope(*arena);
+    simnet::EventLoop loop;
+    simnet::Network net(loop, 1);
+    simnet::Host client(net, "client");
+    simnet::Host server(net, "server");
+    simnet::LinkConfig link;
+    link.latency = simnet::ms(5);
+    net.connect(client.id(), server.id(), link);
+    resolver::Engine engine(loop, {});
+    resolver::DohServerConfig server_config;
+    server_config.tls.chain = tlssim::CertificateChain::cloudflare();
+    resolver::DohServer doh_server(server, engine, server_config, 443);
+    core::DohClientConfig config;
+    config.server_name = "cloudflare-dns.com";
+    config.http_version = version;
+    config.persistent = persistent;
+    core::DohClient doh(client, {server.id(), 443}, config);
+    const dns::Name name = dns::Name::parse("fresh.example.com");
+    for (int i = 0; i < kQueries; ++i) {
+      doh.resolve(name, dns::RType::kA, {});
+      loop.run();
+      if (i + 1 == kQueries / 2) live_mid = arena->stats().live_blocks;
+    }
+    EXPECT_EQ(doh.completed(), static_cast<std::size_t>(kQueries));
+    EXPECT_EQ(doh.failures(), 0u);
+    live_end = arena->stats().live_blocks;
+  }
+  arena->release();
+  return static_cast<double>(live_end - live_mid) / (kQueries / 2);
+}
+
+TEST(ArenaHooks, FreshDohClientReleasesClosedStacks) {
+  // A fresh-connection client must not pin each query's TCP+TLS+HTTP stack
+  // once its connection has closed: per finished query it may keep no more
+  // than a persistent client does (the result, the query's own state).
+  for (const auto version :
+       {core::HttpVersion::kHttp1, core::HttpVersion::kHttp2}) {
+    const double fresh = doh_live_blocks_per_resolution(version, false);
+    const double persistent = doh_live_blocks_per_resolution(version, true);
+    EXPECT_LE(fresh, persistent + 1.0)
+        << (version == core::HttpVersion::kHttp1 ? "h1" : "h2")
+        << ": fresh keeps " << fresh << " blocks per query, persistent "
+        << persistent;
   }
 }
 

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "core/doh_client.hpp"
+#include "core/doq_client.hpp"
 #include "core/udp_client.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doh_server.hpp"
+#include "resolver/doq_server.hpp"
 #include "resolver/udp_server.hpp"
 #include "simnet/trace.hpp"
 #include "workload/names.hpp"
@@ -172,6 +174,40 @@ TEST_F(ConservationTest, DohFreshCostEqualsTapIncludingTheSyn) {
     EXPECT_EQ(cost.wire_bytes, tap.total_bytes());
     EXPECT_EQ(cost.packets, tap.size());
   }
+}
+
+TEST_F(ConservationTest, DoqConnectionCountersEqualTap) {
+  // QUIC counts a packet's wire size off the datagram it encoded or
+  // received, so its counters must equal what the tap saw: on a fresh
+  // connection (handshake, Initial padding, one query) and on the same
+  // connection kept for more queries.
+  resolver::DoqServerConfig server_config;
+  server_config.tls.chain = tlssim::CertificateChain::cloudflare();
+  resolver::DoqServer doq_server(server, engine, server_config, 853);
+  simnet::RecordingTap tap;
+  net.add_tap(&tap);
+  core::DoqClientConfig config;
+  config.server_name = "cloudflare-dns.com";
+  core::DoqClient resolver_client(client, {server.id(), 853}, config);
+  const auto expect_counters_equal_tap = [&](const char* when) {
+    const quicsim::QuicCounters* q = resolver_client.quic_counters();
+    ASSERT_NE(q, nullptr) << when;
+    EXPECT_EQ(q->total_wire_bytes(), tap.total_bytes()) << when;
+    EXPECT_EQ(q->total_packets(), tap.size()) << when;
+  };
+  resolver_client.resolve(dns::Name::parse("x.example.com"), dns::RType::kA,
+                          {});
+  loop.run();
+  expect_counters_equal_tap("fresh");
+  for (int i = 0; i < 20; ++i) {
+    resolver_client.resolve(
+        dns::Name::parse("q" + std::to_string(i) + ".example.com"),
+        dns::RType::kA, {});
+  }
+  loop.run();
+  expect_counters_equal_tap("persistent");
+  EXPECT_EQ(resolver_client.completed(), 21u);
+  net.remove_tap(&tap);
 }
 
 TEST_F(ConservationTest, LayerPartsAreConsistent) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dns/base64url.hpp"
 #include "dns/json.hpp"
 #include "dns/json_value.hpp"
@@ -345,6 +347,49 @@ TEST(Wire, WriterPatch) {
   EXPECT_EQ(r.u16(), 0x1234);
   EXPECT_EQ(r.u32(), 0xdeadbeef);
   EXPECT_THROW(w.patch_u16(5, 1), WireError);
+}
+
+TEST(Wire, WriterZerosAppendsZeroOctets) {
+  ByteWriter w;
+  w.u8(0xff);
+  w.zeros(0);
+  EXPECT_EQ(w.size(), 1u);
+  w.zeros(1000);
+  w.u8(0xee);
+  ASSERT_EQ(w.size(), 1002u);
+  EXPECT_EQ(w.data().front(), 0xff);
+  EXPECT_EQ(w.data().back(), 0xee);
+  EXPECT_TRUE(std::all_of(w.data().begin() + 1, w.data().end() - 1,
+                          [](std::uint8_t b) { return b == 0; }));
+}
+
+TEST(Wire, WriterFirstWriteReservesOnce) {
+  // A record-header-sized writer must not regrow 1, 2, 4, 8: its first
+  // write takes the whole first reserve.
+  ByteWriter w;
+  w.u8(22);
+  EXPECT_EQ(w.data().capacity(), ByteWriter::kFirstReserve);
+  const std::uint8_t* first = w.data().data();
+  w.u16(0x0303);
+  w.u16(0x0010);
+  for (std::size_t i = w.size(); i < ByteWriter::kFirstReserve; ++i) w.u8(0);
+  EXPECT_EQ(w.data().data(), first);
+  // Past it, growth doubles; an explicit reserve is honoured exactly.
+  w.u8(1);
+  EXPECT_EQ(w.data().capacity(), 2 * ByteWriter::kFirstReserve);
+  ByteWriter sized;
+  sized.reserve(5);
+  sized.u8(1);
+  EXPECT_EQ(sized.data().capacity(), 5u);
+}
+
+TEST(Wire, WriterPatchU24) {
+  ByteWriter w;
+  w.u8(1);
+  w.zeros(3);
+  w.patch_u24(1, 0x0a0b0c);
+  EXPECT_EQ(w.data(), (Bytes{1, 0x0a, 0x0b, 0x0c}));
+  EXPECT_THROW(w.patch_u24(2, 1), WireError);
 }
 
 }  // namespace

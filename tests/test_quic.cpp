@@ -1,11 +1,14 @@
 // Tests for the QUIC simulation and DNS-over-QUIC (RFC 9250) extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/doq_client.hpp"
 #include "quicsim/endpoint.hpp"
 #include "resolver/engine.hpp"
 #include "resolver/doq_server.hpp"
 #include "sim_fixture.hpp"
+#include "simnet/packet.hpp"
 
 namespace dohperf::quicsim {
 namespace {
@@ -41,6 +44,42 @@ TEST(QuicPacket, RoundTripAllFrameTypes) {
   EXPECT_EQ(sf.stream_id, 4u);
   EXPECT_TRUE(sf.fin);
   EXPECT_EQ(std::get<ConnectionCloseFrame>(out.frames[6]).error_code, 7u);
+}
+
+TEST(QuicPacket, SizesMatchTheEncoding) {
+  // Sizes are computed from the fields; they must equal what encode() and
+  // encode_frame() actually write, frame by frame and for whole packets.
+  const std::vector<Frame> frames = {
+      PaddingFrame{1200},       PingFrame{},
+      AckFrame{{1, 2, 5}},      CryptoFrame{100, Bytes(300, 9)},
+      StreamFrame{4, 10, true, Bytes{1, 2}},
+      ConnectionCloseFrame{7},  HandshakeDoneFrame{},
+      PathChallengeFrame{0x0102030405060708},
+      PathResponseFrame{42},
+  };
+  for (const auto& frame : frames) {
+    dns::ByteWriter w;
+    encode_frame(w, frame);
+    EXPECT_EQ(encoded_size(frame), w.size()) << "frame " << frame.index();
+  }
+  for (const bool long_header : {false, true}) {
+    Packet p;
+    p.long_header = long_header;
+    p.connection_id = 0xdeadbeefcafe;
+    p.packet_number = 7;
+    p.frames = frames;
+    const Bytes wire = p.encode();
+    EXPECT_EQ(wire.size(),
+              Packet::header_size(long_header) + p.frames_size() +
+                  kAeadTagBytes);
+    EXPECT_EQ(p.udp_wire_size(), Packet::udp_wire_size(wire.size()));
+    EXPECT_EQ(Packet::udp_wire_size(wire.size()),
+              simnet::kIpHeaderBytes + simnet::kUdpHeaderBytes + wire.size());
+    // The tag is zero-filled, and decoding gives the frames back.
+    EXPECT_TRUE(std::all_of(wire.end() - kAeadTagBytes, wire.end(),
+                            [](std::uint8_t b) { return b == 0; }));
+    EXPECT_EQ(Packet::decode(wire).frames.size(), frames.size());
+  }
 }
 
 TEST(QuicPacket, AckElicitingClassification) {
@@ -188,6 +227,51 @@ TEST_F(QuicTest, RecoversFromLoss) {
   EXPECT_EQ(echoed, data);
   EXPECT_GT(conn.counters().retransmits + accepted->counters().retransmits,
             0u);
+}
+
+TEST_F(QuicTest, FinishedStreamsArePrunedAndStayFinished) {
+  // 20,000 request/response exchanges, one stream each, on one connection:
+  // both ends drop a stream's state once it has finished both ways, so the
+  // connection stays bounded; and a late duplicate STREAM frame for a
+  // pruned stream is dropped, not delivered again.
+  start_echo_server();
+  QuicClientEndpoint endpoint(client, {server.id(), 853}, {});
+  auto& conn = endpoint.connection();
+  constexpr int kExchanges = 20000;
+  int finished = 0;
+  std::size_t most_states = 0;
+  conn.set_on_stream_data(
+      [&](std::uint64_t, std::span<const std::uint8_t>, bool fin) {
+        if (fin) ++finished;
+      });
+  loop.run();  // handshake
+  ASSERT_NE(accepted, nullptr);
+  for (int i = 0; i < kExchanges; ++i) {
+    loop.schedule_in(simnet::ms(i), [&, i]() {
+      conn.send_stream(conn.open_stream(),
+                       Bytes{static_cast<std::uint8_t>(i), 1, 2}, true);
+      most_states = std::max(
+          most_states, conn.stream_states() + accepted->stream_states());
+    });
+  }
+  loop.run();
+  ASSERT_EQ(finished, kExchanges);
+  EXPECT_LE(most_states, 8u);
+  EXPECT_EQ(conn.stream_states(), 0u);
+  EXPECT_EQ(accepted->stream_states(), 0u);
+
+  // Replay stream 0 (long finished) at both ends.
+  Packet late;
+  late.connection_id = conn.connection_id();
+  late.packet_number = 1u << 30;
+  late.frames = {StreamFrame{0, 0, true, Bytes{0, 1, 2}}};
+  conn.handle_datagram(late.encode());
+  accepted->handle_datagram(late.encode());
+  loop.run();
+  EXPECT_EQ(finished, kExchanges);  // no re-delivery, hence no re-echo
+  EXPECT_EQ(conn.stream_states(), 0u);
+  EXPECT_EQ(accepted->stream_states(), 0u);
+  EXPECT_EQ(conn.counters().retransmits, 0u);
 }
 
 TEST_F(QuicTest, CloseNotifiesBothSides) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sim_fixture.hpp"
 #include "tlssim/connection.hpp"
 
@@ -8,6 +10,88 @@ namespace {
 
 using dohperf::testing::TwoHostFixture;
 using simnet::Bytes;
+
+// --- handshake codec ---------------------------------------------------------
+
+/// Encodes one message into a writer that already holds `prefix` bytes,
+/// checks it spans exactly 4 + max(fields, target) bytes with that length
+/// in its header and a zero-filled tail, and decodes it back.
+template <typename Encode>
+HandshakeMessage check_message(Encode encode, HsType type,
+                               std::size_t fields, std::size_t target) {
+  ByteWriter w;
+  w.u16(0xabcd);  // encoders append after whatever is already there
+  encode(w);
+  const std::size_t body = std::max(fields, target);
+  EXPECT_EQ(w.size(), 2 + message_bytes(body));
+  const Bytes& out = w.data();
+  EXPECT_EQ(out[2], static_cast<std::uint8_t>(type));
+  EXPECT_EQ((std::size_t{out[3]} << 16) | (std::size_t{out[4]} << 8) | out[5],
+            body);
+  EXPECT_TRUE(std::all_of(out.begin() + 6 + static_cast<std::ptrdiff_t>(fields),
+                          out.end(), [](std::uint8_t b) { return b == 0; }));
+  ByteReader r(out);
+  r.skip(2);
+  HandshakeMessage msg = decode_handshake(r);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_EQ(msg.type, type);
+  return msg;
+}
+
+TEST(HandshakeCodec, EncodersEmitPaddedBodiesAndRoundTrip) {
+  ClientHello ch;
+  ch.sni = "cloudflare-dns.com";
+  ch.alpn = {"h2", "http/1.1"};
+  ch.session_ticket = Bytes(10, 7);
+  const std::size_t ch_fields = 2 + 2 + (2 + 18) + 1 + (2 + 2) + (2 + 8) +
+                                (2 + 10);
+  const auto ch_msg = check_message(
+      [&](ByteWriter& w) { encode_client_hello(w, ch); },
+      HsType::kClientHello, ch_fields, kClientHelloBody);
+  EXPECT_EQ(ch_msg.client_hello->sni, ch.sni);
+  EXPECT_EQ(ch_msg.client_hello->alpn, ch.alpn);
+  EXPECT_EQ(ch_msg.client_hello->session_ticket, ch.session_ticket);
+
+  // A ticket larger than the realistic size grows the body past it.
+  ClientHello big = ch;
+  big.session_ticket = Bytes(400, 9);
+  const auto big_msg = check_message(
+      [&](ByteWriter& w) { encode_client_hello(w, big); },
+      HsType::kClientHello, ch_fields + 390, kClientHelloBody);
+  EXPECT_EQ(big_msg.client_hello->session_ticket, big.session_ticket);
+
+  for (const TlsVersion v : {TlsVersion::kTls12, TlsVersion::kTls13}) {
+    const ServerHello sh{v, "h2", true};
+    const auto sh_msg = check_message(
+        [&](ByteWriter& w) { encode_server_hello(w, sh); },
+        HsType::kServerHello, 2 + 4 + 1,
+        v == TlsVersion::kTls13 ? kServerHello13Body : kServerHello12Body);
+    EXPECT_EQ(sh_msg.server_hello->version, v);
+    EXPECT_EQ(sh_msg.server_hello->alpn, "h2");
+    EXPECT_TRUE(sh_msg.server_hello->resumed);
+  }
+
+  const CertificateChain chain = CertificateChain::cloudflare();
+  const auto cert_msg = check_message(
+      [&](ByteWriter& w) { encode_certificate(w, chain); },
+      HsType::kCertificate, 2 + chain.subject.size() + 3 + 4,
+      chain.wire_bytes);
+  EXPECT_EQ(cert_msg.certificate->subject, chain.subject);
+  EXPECT_EQ(cert_msg.certificate->chain_bytes, chain.wire_bytes);
+
+  const NewSessionTicketMsg ticket{Bytes(20, 3)};
+  const auto nst_msg = check_message(
+      [&](ByteWriter& w) { encode_new_session_ticket(w, ticket); },
+      HsType::kNewSessionTicket, 2 + 20, kNewSessionTicketBody);
+  EXPECT_EQ(nst_msg.ticket->ticket, ticket.ticket);
+
+  for (const std::size_t body : {std::size_t{0}, kFinishedBody,
+                                 kCertificateVerifyBody}) {
+    check_message(
+        [&](ByteWriter& w) { encode_plain(w, HsType::kFinished, body); },
+        HsType::kFinished, 0, body);
+  }
+}
 
 /// Fixture wiring a TLS echo server and a TLS client over simulated TCP.
 class TlsTest : public TwoHostFixture {
